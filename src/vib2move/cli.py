@@ -117,7 +117,8 @@ def cmd_plan(args) -> int:
     noise = replace(scenario.noise, seed=args.seed) if args.seed is not None else scenario.noise
     state = state_from_relative(scenario.initial_rel, scenario.patch, scenario.finger_world)
     env = PlantEnv(state, scenario.obj, noise=noise,
-                   orientation_limits=scenario.planner.finger_orientation_limits)
+                   orientation_limits=scenario.planner.finger_orientation_limits,
+                   record=True)
     try:
         result = plan_and_execute(scenario.problem(), env, scenario.planner)
     except (PlanningError, ObjectDroppedError) as exc:

@@ -92,16 +92,22 @@ class PlantEnv:
     finger orientation limits like the robot would, and serves noisy
     observations. A per-action trace of true relative poses is kept so
     tests can assert the primitive contracts on every action.
+
+    pulse() returns the per-step trajectory points only when the env was
+    built with record=True; otherwise it returns an empty list, which is
+    all a caller that only scores the final pose needs.
     """
 
     def __init__(self, state: ContactState, obj: ObjectModel,
                  noise: NoiseModel | None = None, rng: random.Random | None = None,
-                 orientation_limits: tuple[float, float] = (-1.2, 1.5)):
+                 orientation_limits: tuple[float, float] = (-1.2, 1.5),
+                 record: bool = False):
         self.state = replace(state, vibration_on=False)
         self.obj = obj
         self.noise = noise
         self.rng = rng if rng is not None else (noise.rng() if noise else random.Random(0))
         self.orientation_limits = orientation_limits
+        self.record = record
         self.trace: list[dict] = []
 
     def finger_pose(self) -> PoseSE2:
@@ -131,7 +137,8 @@ class PlantEnv:
     def pulse(self, n_steps: int, step_ds: float):
         finger_before = self.state.finger_pose_w
         live = replace(self.state, vibration_on=True)
-        new_state, points = vibration_pulse(live, self.obj, PulseSpec(step_ds, n_steps))
+        new_state, points = vibration_pulse(live, self.obj, PulseSpec(step_ds, n_steps),
+                                            record=self.record)
         self.state = replace(new_state, vibration_on=False)
         self.trace.append({
             "kind": "pulse",
@@ -319,14 +326,14 @@ def run_single_pulse_eval(n_trials: int, ds: float = 1e-3, n_steps: int = 25,
         spec = PulseSpec(ds, n_steps)
         try:
             plant_state = ContactState(finger, object_pose, true_patch, True)
-            plant_out, _ = vibration_pulse(plant_state, obj, spec)
+            plant_out, _ = vibration_pulse(plant_state, obj, spec, record=False)
         except ObjectDroppedError as exc:
             trials.append(TrialRecord(i, "single_pulse", PoseSE2(*contact, 0.0),
                                       False, 0.0, 0.0, 1, failure=str(exc)))
             continue
         model_state = ContactState(finger, object_pose, patch, True)
         try:
-            model_out, _ = vibration_pulse(model_state, obj, spec)
+            model_out, _ = vibration_pulse(model_state, obj, spec, record=False)
         except ObjectDroppedError:
             model_out = model_state
         measured_obj = observe(plant_out.object_pose_w, noise, rng)

@@ -110,21 +110,34 @@ def classify_motion(twist: TwistSE2, torque_arm: float, rho: float = NEAR_ROTATI
     return MotionClass.TRANSLATIONAL
 
 
-def _run_kernel(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
-                stop_eps: float, record: bool):
+def _kernel_args(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
+                 stop_eps: float = -1.0, record: bool = False,
+                 stop_travel: float = -1.0, stop_rot: float = -1.0) -> list:
+    """Positional arguments of _backend.rollout_core for a rollout from state.
+
+    Returned as a list so a caller replaying one pulse under several
+    pressure-center offsets can swap entries 6 and 7 in place.
+    """
     f = state.finger_pose_w
     o = state.object_pose_w
     pdx, pdy = state.patch.pressure_center_offset
     cdx, cdy = obj.com_offset
-    return _backend.rollout_core(
+    return [
         o.x, o.y, o.theta,
         f.x, f.y, f.theta,
         pdx, pdy,
         cdx, cdy,
         obj.extents[0] / 2.0, obj.extents[1] / 2.0,
         obj.mass, obj.gravity, state.patch.torque_arm,
-        ds, n_max, stop_eps, record,
-    )
+        ds, n_max, stop_eps, record, stop_travel, stop_rot,
+    ]
+
+
+def _run_kernel(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
+                stop_eps: float = -1.0, record: bool = False,
+                stop_travel: float = -1.0, stop_rot: float = -1.0):
+    return _backend.rollout_core(*_kernel_args(state, obj, ds, n_max, stop_eps, record,
+                                               stop_travel, stop_rot))
 
 
 def _points_from_records(state: ContactState, records, start_index: int = 1) -> list[TrajectoryPoint]:
@@ -155,18 +168,20 @@ def slide_step(state: ContactState, obj: ObjectModel, ds: float = DEFAULT_DS) ->
     return replace(state, object_pose_w=PoseSE2(ox, oy, oth))
 
 
-def vibration_pulse(state: ContactState, obj: ObjectModel,
-                    pulse: PulseSpec) -> tuple[ContactState, list[TrajectoryPoint]]:
-    """Apply one pulse and record the per-step trajectory.
+def vibration_pulse(state: ContactState, obj: ObjectModel, pulse: PulseSpec,
+                    record: bool = True) -> tuple[ContactState, list[TrajectoryPoint]]:
+    """Apply one pulse and return the new state with its per-step trajectory.
 
     With vibration off the state is returned unchanged with a single
     sticking record (the relative pose is bit-identical by construction).
+    With record false the kernel keeps no per-step records and the point
+    list is empty; the returned state is the same either way.
     """
     if not state.vibration_on:
         point = TrajectoryPoint(0, state.finger_pose_w, state.object_pose_w, None, None, 0.0)
-        return state, [point]
+        return state, [point] if record else []
     status, n_done, ox, oy, oth, records = _run_kernel(
-        state, obj, pulse.step_ds, pulse.n_steps, -1.0, True)
+        state, obj, pulse.step_ds, pulse.n_steps, -1.0, record)
     if status == _backend.STATUS_DROPPED:
         raise ObjectDroppedError(n_done)
     new_state = replace(state, object_pose_w=PoseSE2(ox, oy, oth))

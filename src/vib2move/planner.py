@@ -31,6 +31,8 @@ from .integrator import (
     REST_EPS,
     ContactState,
     TrajectoryPoint,
+    _kernel_args,
+    _run_kernel,
     com_world,
     pressure_center_world,
 )
@@ -112,6 +114,11 @@ class PlannerConfig:
             raise ValueError("finger orientation limits must satisfy lo < hi")
         if not 0.0 < self.lever_angle_stage3 < math.pi / 2:
             raise ValueError("stage-3 lever angle must be in (0, pi/2)")
+        if not self.step_ds > 0.0:
+            raise ValueError(f"step_ds must be positive, got {self.step_ds!r}")
+        for name in ("max_pulse_steps", "max_actions_per_stage"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -272,23 +279,10 @@ def _belief_patch(nominal: ContactPatch, pi: PiState) -> ContactPatch:
     return replace(nominal, pressure_center_offset=pi.pressure_center_estimate)
 
 
-def _model_rollout(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
-                   stop_travel: float = -1.0, stop_rot: float = -1.0):
-    f, o = state.finger_pose_w, state.object_pose_w
-    pdx, pdy = state.patch.pressure_center_offset
-    cdx, cdy = obj.com_offset
-    status, n_done, ox, oy, oth, _ = _backend.rollout_core(
-        o.x, o.y, o.theta, f.x, f.y, f.theta, pdx, pdy, cdx, cdy,
-        obj.extents[0] / 2.0, obj.extents[1] / 2.0,
-        obj.mass, obj.gravity, state.patch.torque_arm,
-        ds, n_max, -1.0, False, stop_travel, stop_rot,
-    )
-    return status, n_done, PoseSE2(ox, oy, oth)
-
-
 def _predict_pulse(state: ContactState, obj: ObjectModel, ds: float, n_steps: int) -> PoseSE2:
     """Model rollout used as the PI reference for a commanded pulse."""
-    return _model_rollout(state, obj, ds, n_steps)[2]
+    _, _, ox, oy, oth, _ = _run_kernel(state, obj, ds, n_steps)
+    return PoseSE2(ox, oy, oth)
 
 
 _ERROR_GRID = [0.0005 * i for i in range(-10, 11)]
@@ -310,19 +304,25 @@ def _pressure_error_from_pulse(belief: ContactState, obj: ObjectModel, ds: float
     th = belief.finger_pose_w.theta
     ex_f, ey_f = math.cos(th), -math.sin(th)
     pdx, pdy = belief.patch.pressure_center_offset
+    r0 = belief.patch.r0
+    # the replays differ only in the pressure-center offset (kernel
+    # arguments 6 and 7), so build the argument list once and swap those
+    args = _kernel_args(belief, obj, ds, n_steps)
+    rollout = _backend.rollout_core
     costs = {}
     for err in _ERROR_GRID:
         if err == 0.0:
-            pose = predicted
+            x, y, theta = predicted.x, predicted.y, predicted.theta
         else:
-            off = (pdx + ex_f * err, pdy + ey_f * err)
-            if math.hypot(*off) >= belief.patch.r0:
+            offx, offy = pdx + ex_f * err, pdy + ey_f * err
+            if math.hypot(offx, offy) >= r0:
                 continue
-            nudged = replace(belief, patch=replace(
-                belief.patch, pressure_center_offset=off))
-            pose = _predict_pulse(nudged, obj, ds, n_steps)
-        costs[err] = ((pose.x - observed.x) ** 2 + (pose.y - observed.y) ** 2) / sigma_pos ** 2 \
-            + wrap_angle(pose.theta - observed.theta) ** 2 / sigma_theta ** 2
+            args[6], args[7] = offx, offy
+            _, _, x, y, theta, _ = rollout(*args)
+            # re-wrap exactly as a PoseSE2 of the result would
+            theta = wrap_angle(theta)
+        costs[err] = ((x - observed.x) ** 2 + (y - observed.y) ** 2) / sigma_pos ** 2 \
+            + wrap_angle(theta - observed.theta) ** 2 / sigma_theta ** 2
     if not costs:
         return None
     best_err = min(costs, key=costs.get)
@@ -359,8 +359,9 @@ def _size_pulse(state: ContactState, obj: ObjectModel, config: PlannerConfig,
     the model predicts a drop, back off to three quarters of the
     predicted drop step.
     """
-    status, n_done, _ = _model_rollout(state, obj, ds if ds is not None else config.step_ds,
-                                       config.max_pulse_steps, stop_travel, stop_rot)
+    status, n_done, *_ = _run_kernel(state, obj, ds if ds is not None else config.step_ds,
+                                     config.max_pulse_steps, stop_travel=stop_travel,
+                                     stop_rot=stop_rot)
     if status == _backend.STATUS_DROPPED:
         n_done = (3 * n_done) // 4
     return max(1, n_done)
@@ -594,8 +595,9 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
     The environment owns the true plant; the planner only sees the exact
     finger pose, noisy object observations, and its own nominal models.
     Environment contract: finger_pose() -> PoseSE2, observe() -> PoseSE2,
-    reorient(target_theta), pulse(n_steps, step_ds) -> trajectory points,
-    and optionally true_object_pose() for error reporting.
+    reorient(target_theta), pulse(n_steps, step_ds) -> trajectory points
+    (an empty list when the env does not record; the plan's trajectory is
+    then empty too), and optionally true_object_pose() for error reporting.
     """
     config = config or PlannerConfig()
     obj, goal, nominal = scenario.obj, scenario.goal_rel, scenario.patch

@@ -142,7 +142,10 @@ def _parse_planner(block: dict) -> PlannerConfig:
             kwargs[attr] = value * scale if scale != 1 else value
     if "pi_gains" in kwargs:
         kwargs["pi_gains"] = tuple(kwargs["pi_gains"])
-    return PlannerConfig(**kwargs)
+    try:
+        return PlannerConfig(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"planner: {exc}") from exc
 
 
 def scenario_to_doc(s: Scenario) -> dict:
@@ -203,6 +206,15 @@ class EvalConfig:
     step_ds: float = 1e-3
 
 
+def _positive(doc: dict, key: str, default, integer: bool = False):
+    value = doc.get(key, default)
+    types = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, types) or not value > 0:
+        kind = "integer" if integer else "number"
+        raise ScenarioError(f"{key} in eval config must be a positive {kind}, got {value!r}")
+    return value
+
+
 def load_eval_config(path: str | Path) -> EvalConfig:
     path = Path(path)
     try:
@@ -230,13 +242,13 @@ def load_eval_config(path: str | Path) -> EvalConfig:
             })
     return EvalConfig(
         mode=mode,
-        n_trials=doc.get("n_trials", 10),
+        n_trials=_positive(doc, "n_trials", 10, integer=True),
         noise=_parse_noise(doc.get("noise", {})),
         perturbation=_parse_perturbation(doc.get("perturbation", {})),
         planner=_parse_planner(doc.get("planner", {})),
         objects=objects,
-        pulse_steps=doc.get("pulse_steps", 2000),
-        step_ds=doc.get("step_ds", 1e-3),
+        pulse_steps=_positive(doc, "pulse_steps", 2000, integer=True),
+        step_ds=_positive(doc, "step_ds", 1e-3),
     )
 
 

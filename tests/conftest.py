@@ -28,3 +28,20 @@ def state_with_contact_at(patch, contact_obj_frame, theta_o=0.0, vibration_on=Tr
     c, s = math.cos(theta_o), math.sin(theta_o)
     obj_pose = PoseSE2(finger.x - (c * px - s * py), finger.y - (s * px + c * py), theta_o)
     return ContactState(finger, obj_pose, patch, vibration_on)
+
+
+@pytest.fixture
+def kernel_spy(monkeypatch):
+    """Record (record flag, records returned) for every kernel call."""
+    from vib2move import _backend
+
+    real = _backend.rollout_core
+    calls = []
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((bool(args[18]), len(out[5])))
+        return out
+
+    monkeypatch.setattr(_backend, "rollout_core", spy)
+    return calls

@@ -1,9 +1,13 @@
 import csv
 import filecmp
 import json
+import logging
 from pathlib import Path
 
+import pytest
+
 from vib2move.cli import main
+from vib2move.scenario import bundled_path
 
 
 def run(args):
@@ -60,6 +64,17 @@ class TestPlan:
             ["trajectory.csv", "actions.json", "metrics.json", "path.svg"], shallow=False)
         assert not mismatch and not errors
 
+    def test_records_one_csv_row_per_pulse_step(self, tmp_path, kernel_spy):
+        assert run(["plan", "--scenario", "demo_plan", "--out", tmp_path / "o"]) == 0
+        actions = json.loads((tmp_path / "o" / "actions.json").read_text())
+        pulse_steps = [a["n_steps"] for a in actions if a["kind"] == "pulse"]
+        rows = list(csv.reader(open(tmp_path / "o" / "trajectory.csv")))[1:]
+        recorded = [n for rec, n in kernel_spy if rec]
+        # only the plant pulses record; sizing, prediction and estimator
+        # replays do not
+        assert recorded == pulse_steps
+        assert len(rows) == sum(pulse_steps)
+
     def test_unreachable_goal_exit_code(self, tmp_path):
         doc = json.loads(Path("src/vib2move/data/demo_plan.json").read_text())
         doc["goal_rel_mm_deg"] = [22.5, -40.0, 0.0]  # straight below the com
@@ -99,3 +114,31 @@ class TestEvaluate:
             ["trials.csv", "table.csv", "metrics.json", "error_distribution.svg"],
             shallow=False)
         assert not mismatch and not errors
+
+
+def _error_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+class TestBadStepInputs:
+    @pytest.mark.parametrize("key, value", [("step_ds", -0.001), ("max_actions_per_stage", 0)])
+    def test_planner_value_rejected_before_planning(self, tmp_path, caplog, key, value):
+        doc = json.loads(bundled_path("demo_plan").read_text())
+        doc.setdefault("planner", {})[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["plan", "--scenario", bad, "--out", tmp_path / "o"]) == 1
+        [msg] = _error_lines(caplog)
+        assert key in msg and repr(value) in msg and "\n" not in msg
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("step_ds", 0), ("pulse_steps", -5), ("n_trials", 0)])
+    def test_eval_config_value_rejected(self, tmp_path, caplog, key, value):
+        doc = json.loads(bundled_path("eval_noisy").read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["evaluate", "--config", bad, "--out", tmp_path / "o"]) == 1
+        [msg] = _error_lines(caplog)
+        assert key in msg and repr(value) in msg and "\n" not in msg
+        assert not (tmp_path / "o").exists()

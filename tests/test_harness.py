@@ -156,3 +156,25 @@ def test_plant_env_enforces_orientation_limits():
     env = PlantEnv(state_from_relative(PoseSE2(0, -0.02, 0), default_patch()), obj)
     with pytest.raises(OrientationLimitError):
         env.reorient(1.7)
+
+
+def test_evals_never_request_recording(kernel_spy):
+    run_single_pulse_eval(n_trials=5, n_steps=300,
+                          perturb=PerturbationModel(pressure_bias_fixed=0.002), seed=1)
+    n_single = len(kernel_spy)
+    assert n_single >= 5
+    run_reconfiguration_eval(objects=default_objects()[:1], n_paths_per_object=2,
+                             noise=NoiseModel(0.001, 0.0087),
+                             perturb=PerturbationModel(pressure_bias_fixed=0.002), seed=1)
+    assert len(kernel_spy) > n_single
+    assert kernel_spy == [(False, 0)] * len(kernel_spy)
+
+
+def test_plant_env_records_only_on_request():
+    obj = default_objects()[0]["model"]
+    state = state_from_relative(PoseSE2(0.01, -0.02, 0.1), default_patch())
+    quiet = PlantEnv(state, obj)
+    loud = PlantEnv(state, obj, record=True)
+    assert quiet.pulse(40, 1e-3) == []
+    assert len(loud.pulse(40, 1e-3)) == 40
+    assert repr(quiet.state) == repr(loud.state)

@@ -113,6 +113,31 @@ class TestVibrationPulse:
         assert a[0] == b[0]
         assert a[1] == b[1]
 
+    def test_unrecorded_pulse_same_state_no_points(self, paper_patch, plate):
+        rng = random.Random(17)
+        drops = 0
+        for _ in range(40):
+            st = random_inner_state(paper_patch, rng)
+            spec = PulseSpec(1e-3, rng.randint(1, 400))
+            try:
+                recorded, traj = vibration_pulse(st, plate, spec)
+            except ObjectDroppedError as exc:
+                drops += 1
+                with pytest.raises(ObjectDroppedError) as info:
+                    vibration_pulse(st, plate, spec, record=False)
+                assert info.value.step_index == exc.step_index
+                continue
+            assert len(traj) == spec.n_steps
+            out, points = vibration_pulse(st, plate, spec, record=False)
+            assert points == []
+            # repr spells every float exactly, so this is bit identity
+            assert repr(out) == repr(recorded)
+        assert drops < 40
+
+    def test_unrecorded_sticking_pulse(self, paper_patch, plate):
+        st = state_with_contact_at(paper_patch, (0.01, 0.02), vibration_on=False)
+        assert vibration_pulse(st, plate, PulseSpec(1e-3, 10), record=False) == (st, [])
+
     def test_translation_invariance(self, paper_patch, plate):
         st = state_with_contact_at(paper_patch, (0.015, 0.02), theta_o=0.2)
         shifted = ContactState(

@@ -1,15 +1,20 @@
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
-from vib2move.contact import ObjectModel
+from vib2move.contact import ContactPatch, ObjectModel
 from vib2move.harness import PlantEnv, default_patch, state_from_relative
 from vib2move.planner import (
+    _ERROR_GRID,
     OrientationLimitError,
     PiState,
     PlannerConfig,
     PlanningProblem,
     SingularityError,
+    _predict_pulse,
+    _pressure_error_from_pulse,
     check_reachability,
     pi_update,
     plan_and_execute,
@@ -210,3 +215,83 @@ class TestPlanExecution:
             PlannerConfig(finger_orientation_limits=(1.0, -1.0))
         with pytest.raises(ValueError):
             PlannerConfig(lever_angle_stage3=2.0)
+        for bad in ({"step_ds": 0.0}, {"step_ds": -1e-3}, {"step_ds": math.nan},
+                    {"max_pulse_steps": 0}, {"max_actions_per_stage": 0},
+                    {"max_actions_per_stage": -3}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                PlannerConfig(**bad)
+
+
+def _replace_based_pressure_error(belief, obj, ds, n_steps, predicted, observed,
+                                  sigma_pos=0.0015, sigma_theta=0.013):
+    """The estimator as first written, with one replace()-built state and a
+    full model rollout per grid candidate; kept as the reference."""
+    th = belief.finger_pose_w.theta
+    ex_f, ey_f = math.cos(th), -math.sin(th)
+    pdx, pdy = belief.patch.pressure_center_offset
+    costs = {}
+    for err in _ERROR_GRID:
+        if err == 0.0:
+            pose = predicted
+        else:
+            off = (pdx + ex_f * err, pdy + ey_f * err)
+            if math.hypot(*off) >= belief.patch.r0:
+                continue
+            nudged = replace(belief, patch=replace(
+                belief.patch, pressure_center_offset=off))
+            pose = _predict_pulse(nudged, obj, ds, n_steps)
+        costs[err] = ((pose.x - observed.x) ** 2 + (pose.y - observed.y) ** 2) / sigma_pos ** 2 \
+            + wrap_angle(pose.theta - observed.theta) ** 2 / sigma_theta ** 2
+    if not costs:
+        return None
+    best_err = min(costs, key=costs.get)
+    best_cost = costs[best_err]
+    step = _ERROR_GRID[1] - _ERROR_GRID[0]
+    rivals = [c for e, c in costs.items() if abs(abs(e - best_err) - 2 * step) < 1e-12]
+    if not rivals:
+        return None
+    localization = min(rivals) - best_cost
+    weight = min(1.0, localization / 4.0)
+    if weight < 0.1:
+        return None
+    lo, hi = costs.get(best_err - step), costs.get(best_err + step)
+    if lo is not None and hi is not None:
+        denom = lo - 2.0 * best_cost + hi
+        if denom > 1e-9:
+            best_err += 0.5 * step * (lo - hi) / denom
+    return weight * best_err
+
+
+def test_pressure_error_matches_replace_based_estimator():
+    rng = random.Random(2024)
+    seen = {"none": 0, "informative": 0, "outside_patch": 0}
+    r0 = 0.015
+    for _ in range(240):
+        obj = ObjectModel(mass=rng.uniform(0.05, 0.1), extents=(0.09, 0.15),
+                          com_offset=(rng.uniform(-0.01, 0.01), rng.uniform(-0.01, 0.01)))
+        # pressure estimates up to near the patch rim, so that part of the
+        # +-5 mm candidate grid falls outside the patch and is skipped
+        rho, ang = rng.uniform(0.0, 0.0145), rng.uniform(-math.pi, math.pi)
+        patch = ContactPatch(r0=r0, c=0.6,
+                             pressure_center_offset=(rho * math.cos(ang), rho * math.sin(ang)))
+        finger = PoseSE2(rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02),
+                         rng.uniform(-1.2, 1.5))
+        belief = state_with_contact_at(
+            patch, (rng.uniform(-0.03, 0.03), rng.uniform(-0.055, 0.055)),
+            theta_o=finger.theta + rng.uniform(-0.5, 0.5), vibration_on=False, finger=finger)
+        ds = rng.choice((2.5e-4, 1e-3))
+        n_steps = rng.randint(1, 60)
+        predicted = _predict_pulse(belief, obj, ds, n_steps)
+        observed = PoseSE2(predicted.x + rng.gauss(0.0, 0.002),
+                           predicted.y + rng.gauss(0.0, 0.002),
+                           predicted.theta + rng.gauss(0.0, 0.02))
+        got = _pressure_error_from_pulse(belief, obj, ds, n_steps, predicted, observed)
+        want = _replace_based_pressure_error(belief, obj, ds, n_steps, predicted, observed)
+        assert repr(got) == repr(want)
+        seen["none" if got is None else "informative"] += 1
+        th = finger.theta
+        seen["outside_patch"] += any(
+            math.hypot(patch.pressure_center_offset[0] + math.cos(th) * e,
+                       patch.pressure_center_offset[1] - math.sin(th) * e) >= r0
+            for e in _ERROR_GRID)
+    assert min(seen.values()) >= 10, seen
