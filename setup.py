@@ -1,8 +1,9 @@
 """Build script with an optional compiled rollout kernel.
 
 The package is fully functional without the extension (a pure-Python
-kernel is selected at import time); the Cython module only accelerates
-the hot per-step sliding loop. Any failure to cythonize or compile is
+kernel is selected at import time); the hand-written C module
+src/vib2move/_native.c only accelerates the hot per-step sliding loop
+and needs nothing but a C compiler. Any failure to compile it is
 therefore non-fatal.
 """
 
@@ -26,26 +27,19 @@ class optional_build_ext(build_ext):
             print(f"skipping {ext.name} ({exc}); pure-Python fallback will be used")
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    ext = Extension(
-        "vib2move._native",
-        ["src/vib2move/_native.pyx"],
-        # keep float semantics identical to the pure-Python kernel so
-        # trajectories are bit-reproducible across backends: no fast-math,
-        # no FMA contraction, and no cos+sin -> sincos fusion (glibc's
-        # sincos rounds differently than separate calls)
-        extra_compile_args=[
-            "-O3",
-            "-ffp-contract=off",
-            "-fno-builtin-sin",
-            "-fno-builtin-cos",
-        ],
-    )
-    return cythonize([ext], language_level="3")
+native = Extension(
+    "vib2move._native",
+    ["src/vib2move/_native.c"],
+    # keep float semantics identical to the pure-Python kernel so
+    # trajectories are bit-reproducible across backends: no fast-math,
+    # no FMA contraction, and no cos+sin -> sincos fusion (glibc's
+    # sincos rounds differently than separate calls)
+    extra_compile_args=[
+        "-O3",
+        "-ffp-contract=off",
+        "-fno-builtin-sin",
+        "-fno-builtin-cos",
+    ],
+)
 
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(ext_modules=[native], cmdclass={"build_ext": optional_build_ext})

@@ -28,7 +28,7 @@ else:
         if _forced == "native":
             raise ImportError(
                 "VIB2MOVE_BACKEND=native but the compiled kernel is not built; "
-                "reinstall with Cython and a C compiler available"
+                "reinstall with a C compiler available"
             )
         BACKEND = "python"
         rollout_core = _reference.rollout_core

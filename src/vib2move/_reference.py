@@ -1,8 +1,9 @@
 """Pure-Python rollout kernel (reference implementation).
 
-vib2move._native implements the same function in Cython with identical
-arithmetic and operation order, so both backends produce bit-identical
-trajectories. Keep the two in lockstep when editing.
+vib2move._native (src/vib2move/_native.c, a hand-written CPython
+extension) implements the same function with identical arithmetic and
+operation order, so both backends produce bit-identical trajectories.
+Keep the two in lockstep when editing.
 """
 
 import math

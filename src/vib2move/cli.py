@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ds", type=float, default=5e-4, help="arc step size")
     p.add_argument("--n-steps", type=int, default=2300, help="pulse duration in steps")
     p.add_argument("--out", default="out_predict", help="output directory")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("plan", help="run the closed-loop three-stage planner")

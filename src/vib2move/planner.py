@@ -225,33 +225,6 @@ def subgoal_positioning(state: ContactState, obj: ObjectModel, goal: PoseSE2) ->
     return _bearing_target(state, aim)
 
 
-def subgoal_orientation(state: ContactState, obj: ObjectModel, goal_theta: float,
-                        lever_angle: float = math.radians(20.0), side: str = "below") -> float:
-    """Stage-3 subgoal: hang the center of mass a lever angle off vertical.
-
-    The sign is chosen so the induced rotation shrinks the orientation
-    error; side selects whether the lever hangs below or above the
-    contact (below decays toward alignment, above runs away from it, but
-    their translation drifts point opposite ways).
-    """
-    rel = relative_pose(state.finger_pose_w, state.object_pose_w)
-    e = wrap_angle(rel.theta - goal_theta)
-    s = 1.0 if e >= 0.0 else -1.0
-    pc = pressure_center_world(state)
-    com = com_world(state.object_pose_w, obj)
-    dx, dy = com[0] - pc[0], com[1] - pc[1]
-    if math.hypot(dx, dy) < REST_EPS:
-        raise SingularityError("no gravity lever: center of mass sits on the contact")
-    bearing = math.atan2(dy, dx)
-    if side == "below":
-        beta = -math.pi / 2 - lever_angle * s
-    elif side == "above":
-        beta = math.pi / 2 + lever_angle * s
-    else:
-        raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-    return wrap_angle(state.finger_pose_w.theta + (beta - bearing))
-
-
 def pi_update(pi: PiState, observed_error: tuple[float, float],
               gains: tuple[float, float], r0: float) -> PiState:
     """One discrete PI step on the pressure-center estimate.
@@ -415,6 +388,12 @@ def _gamma_windows(t0: float, slope: float, limits: tuple[float, float],
 def _stage3_candidates(state: ContactState, obj: ObjectModel, e_theta: float,
                        config: PlannerConfig, e_ref: float | None = None) -> dict[str, tuple[float, float]]:
     """Feasible lever placements per side: side -> (target_theta, gamma).
+
+    Stage 3 hangs the center of mass a lever angle gamma off vertical,
+    below or above the contact, on the side whose induced rotation
+    shrinks the orientation error e_theta. Below decays toward
+    alignment and above runs away from it, but their translation drifts
+    point opposite ways.
 
     The finger target is linear in the lever angle, so the orientation
     window maps to gamma intervals. Within a feasible interval the lever

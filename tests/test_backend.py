@@ -1,5 +1,6 @@
 """The compiled and pure-Python kernels must be interchangeable."""
 
+import collections
 import random
 
 import pytest
@@ -31,15 +32,29 @@ def test_backend_is_selected():
 
 @pytest.mark.skipif(_native is None, reason="compiled kernel not built")
 def test_kernels_bit_identical():
+    # predictive and reached stop targets, rest stops, drops and budget
+    # ends, with and without the optional stop arguments
     rng = random.Random(123)
-    for _ in range(100):
-        args = random_args(rng, 400, True)
+    statuses = collections.Counter()
+    for i in range(400):
+        args = list(random_args(rng, 3000, i % 2 == 0))
+        variant = i % 5
+        if variant == 1:
+            args[-2] = 1e-5
+        elif variant == 2:
+            args.append(rng.uniform(0.001, 0.03))
+        elif variant == 3:
+            args += [-1.0, rng.uniform(0.01, 0.5)]
+        elif variant == 4:
+            args += [rng.uniform(0.001, 0.03), rng.uniform(0.01, 0.5)]
         ref = _reference.rollout_core(*args)
         nat = _native.rollout_core(*args)
-        assert ref[0] == nat[0]
-        assert ref[1] == nat[1]
-        assert ref[2:5] == nat[2:5]
-        assert ref[5] == nat[5]
+        assert repr(ref) == repr(nat)
+        statuses[ref[0]] += 1
+    assert set(statuses) == {
+        _reference.STATUS_BUDGET, _reference.STATUS_REST,
+        _reference.STATUS_DROPPED, _reference.STATUS_TARGET,
+    }
 
 
 @pytest.mark.skipif(_native is None, reason="compiled kernel not built")
@@ -57,3 +72,4 @@ def test_status_constants_agree():
     assert _backend.STATUS_BUDGET == _reference.STATUS_BUDGET == 0
     assert _backend.STATUS_REST == _reference.STATUS_REST == 1
     assert _backend.STATUS_DROPPED == _reference.STATUS_DROPPED == 2
+    assert _backend.STATUS_TARGET == _reference.STATUS_TARGET == 3

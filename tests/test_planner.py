@@ -15,12 +15,13 @@ from vib2move.planner import (
     SingularityError,
     _predict_pulse,
     _pressure_error_from_pulse,
+    _stage3_candidates,
+    _stage3_target,
     check_reachability,
     pi_update,
     plan_and_execute,
     primitive_reorient,
     subgoal_centering,
-    subgoal_orientation,
     subgoal_positioning,
 )
 from vib2move.se2 import PoseSE2, relative_pose, transform_point, wrap_angle
@@ -99,23 +100,32 @@ class TestSubgoals:
         bearing = math.atan2(goal_w.y - f.y, goal_w.x - f.x)
         assert bearing == pytest.approx(math.pi / 2, abs=1e-9)
 
-    def test_orientation_lever_sign_follows_error(self, paper_patch, plate):
+    def test_orientation_lever_sign_follows_error(self, paper_patch, plate, config):
         # positive orientation error needs the com left of vertical so the
         # induced rotation lowers the relative angle, and mirrored for
-        # negative error
+        # negative error; this holds for every feasible lever side and for
+        # the placement stage 3 picks
         st = state_with_contact_at(paper_patch, (0.01, 0.03), theta_o=0.0)
+        rel_theta = relative_pose(st.finger_pose_w, st.object_pose_w).theta
         for err_sign in (+1.0, -1.0):
-            goal_theta = relative_pose(st.finger_pose_w, st.object_pose_w).theta - err_sign * math.radians(10)
-            target = subgoal_orientation(st, plate, goal_theta, lever_angle=0.3, side="below")
-            out = primitive_reorient(st, target)
-            pc = transform_point(out.finger_pose_w, paper_patch.pressure_center_offset)
-            com = transform_point(out.object_pose_w, plate.com_offset)
-            assert math.copysign(1.0, com[0] - pc[0]) == -err_sign
+            e_theta = err_sign * math.radians(10)
+            goal = PoseSE2(0.01, 0.03, rel_theta - e_theta)
+            candidates = _stage3_candidates(st, plate, e_theta, config)
+            assert "below" in candidates
+            target, gamma, side = _stage3_target(st, plate, goal, config, e_theta)
+            assert candidates[side] == (target, gamma)
+            for cand_target, _ in candidates.values():
+                out = primitive_reorient(st, cand_target)
+                pc = transform_point(out.finger_pose_w, paper_patch.pressure_center_offset)
+                com = transform_point(out.object_pose_w, plate.com_offset)
+                assert math.copysign(1.0, com[0] - pc[0]) == -err_sign
 
-    def test_orientation_needs_a_lever(self, paper_patch, plate):
+    def test_orientation_needs_a_lever(self, paper_patch, plate, config):
         st = state_with_contact_at(paper_patch, (0.0, 1e-9))
         with pytest.raises(SingularityError):
-            subgoal_orientation(st, plate, 0.3)
+            _stage3_candidates(st, plate, 0.3, config)
+        with pytest.raises(SingularityError):
+            _stage3_target(st, plate, PoseSE2(0.0, 0.0, 0.0), config, 0.3)
 
 
 class TestPiUpdate:
