@@ -3,7 +3,10 @@
  * Must stay operation-for-operation identical to the pure-Python kernel so
  * trajectories are bit-reproducible across backends. Build it as setup.py
  * does: no -ffast-math, -ffp-contract=off (no FMA contraction) and
- * -fno-builtin-sin/-fno-builtin-cos (no cos+sin -> sincos fusion). */
+ * -fno-builtin-sin/-fno-builtin-cos (no cos+sin -> sincos fusion).
+ *
+ * cos/sin of the object angle are taken once per step: the drop check's
+ * values at the end of a step are carried into the next step's top. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -40,8 +43,8 @@ rollout_core(PyObject *self, PyObject *args)
     if (records == NULL)
         return NULL;
 
+    double co = cos(oth), so = sin(oth);
     for (long i = 0; i < n_max; i++) {
-        double co = cos(oth), so = sin(oth);
         double comx = ox + co * cdx - so * cdy;
         double comy = oy + so * cdx + co * cdy;
         double xc = comx - pcx;
@@ -103,6 +106,7 @@ rollout_core(PyObject *self, PyObject *args)
                 return NULL;
             }
         }
+        /* also the next step's angle terms */
         co = cos(oth);
         so = sin(oth);
         double dx = pcx - ox, dy = pcy - oy;

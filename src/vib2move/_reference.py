@@ -4,6 +4,12 @@ vib2move._native (src/vib2move/_native.c, a hand-written CPython
 extension) implements the same function with identical arithmetic and
 operation order, so both backends produce bit-identical trajectories.
 Keep the two in lockstep when editing.
+
+Both kernels compute cos/sin of the object angle once per step: the
+values taken at the end of a step for the drop check are exactly the
+ones the next step needs at its top, so they are carried over. This
+kernel also hoists every loop invariant into a local; each hoisted value
+is the same operation on the same operands as before, so no bit moves.
 """
 
 import math
@@ -46,65 +52,72 @@ def rollout_core(
     2 = pressure center left the footprint (object dropped), 3 = stop
     target reached.
     """
-    cf = math.cos(fth)
-    sf = math.sin(fth)
+    cos, sin, sqrt, fmod = math.cos, math.sin, math.sqrt, math.fmod
+    pi, two_pi = math.pi, _TWO_PI
+    cf = cos(fth)
+    sf = sin(fth)
     pcx = fx + cf * pdx - sf * pdy
     pcy = fy + sf * pdx + cf * pdy
     mg = mass * gravity
     a3sq = a3 * a3
+    wy = -mg
+    wy2 = wy * wy
+    rest_stop = stop_eps > 0.0
+    travel_stop = stop_travel > 0.0
+    rot_stop = stop_rot > 0.0
     records = []
+    append = records.append
     status = STATUS_BUDGET
     n_done = 0
     travel = 0.0
     rot = 0.0
+    co = cos(oth)
+    so = sin(oth)
     for i in range(n_max):
-        co = math.cos(oth)
-        so = math.sin(oth)
         comx = ox + co * cdx - so * cdy
         comy = oy + so * cdx + co * cdy
         xc = comx - pcx
-        if stop_eps > 0.0 and comy < pcy and abs(xc) < stop_eps:
+        if rest_stop and comy < pcy and abs(xc) < stop_eps:
             status = STATUS_REST
             break
-        wy = -mg
-        wt = -mg * xc
-        ty = wy
+        wt = wy * xc
         tw = wt / a3sq
-        n = math.sqrt(ty * ty + tw * tw)
-        uy = ty / n
+        n = sqrt(wy2 + tw * tw)
+        uy = wy / n
         uw = tw / n
         tt = wt / a3
-        k = 1.0 / (wy * wy + tt * tt)
+        k = 1.0 / (wy2 + tt * tt)
         h = ds * k
         phi = uw * h
         # predictive stop: do not take a step that would overshoot a stop
         # target by more than half the step itself
-        if stop_travel > 0.0:
+        if travel_stop:
             step_t = h * abs(uy)
             if travel + step_t > stop_travel and stop_travel - travel < 0.5 * step_t:
                 status = STATUS_TARGET
                 break
-        if stop_rot > 0.0:
+        if rot_stop:
             step_r = abs(phi)
             if rot + step_r > stop_rot and stop_rot - rot < 0.5 * step_r:
                 status = STATUS_TARGET
                 break
-        cphi = math.cos(phi)
-        sphi = math.sin(phi)
+        cphi = cos(phi)
+        sphi = sin(phi)
         rx = ox - pcx
         ry = oy - pcy
         ox = pcx + cphi * rx - sphi * ry
         oy = pcy + sphi * rx + cphi * ry + uy * h
         oth = oth + phi
-        r = math.fmod(oth + math.pi, _TWO_PI)
+        r = fmod(oth + pi, two_pi)
         if r <= 0.0:
-            r += _TWO_PI
-        oth = r - math.pi
+            r += two_pi
+        oth = r - pi
         n_done = i + 1
         if record:
-            records.append((ox, oy, oth, uy, uw, k, xc))
-        co = math.cos(oth)
-        so = math.sin(oth)
+            append((ox, oy, oth, uy, uw, k, xc))
+        # also the next step's angle terms
+        co = cos(oth)
+        so = sin(oth)
         dx = pcx - ox
         dy = pcy - oy
         lx = co * dx + so * dy
@@ -114,7 +127,7 @@ def rollout_core(
             break
         travel += h * abs(uy)
         rot += abs(phi)
-        if (stop_travel > 0.0 and travel >= stop_travel) or (stop_rot > 0.0 and rot >= stop_rot):
+        if (travel_stop and travel >= stop_travel) or (rot_stop and rot >= stop_rot):
             status = STATUS_TARGET
             break
     return status, n_done, ox, oy, oth, records

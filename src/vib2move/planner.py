@@ -322,7 +322,7 @@ def _pressure_error_from_pulse(belief: ContactState, obj: ObjectModel, ds: float
 
 
 def _size_pulse(state: ContactState, obj: ObjectModel, config: PlannerConfig,
-                stop_travel: float = -1.0, stop_rot: float = -1.0,
+                max_steps: int, stop_travel: float = -1.0, stop_rot: float = -1.0,
                 ds: float | None = None) -> int:
     """Pulse duration (step count) from a model rollout with stop targets.
 
@@ -331,13 +331,22 @@ def _size_pulse(state: ContactState, obj: ObjectModel, config: PlannerConfig,
     mid-pulse, changing its per-step advance by orders of magnitude. If
     the model predicts a drop, back off to three quarters of the
     predicted drop step.
+
+    The result never exceeds max_steps (at least 1), the caller's
+    travel/rotation governor, so the rollout stops at 4*max_steps//3 + 2
+    steps. That loses nothing: a shorter rollout is a prefix of the
+    longer one, so any stop inside the bound is unchanged; a rollout
+    that runs past the bound sizes to more than max_steps either way,
+    since a drop at step D > 4*max_steps//3 + 2 backs off to
+    3*D//4 > max_steps.
     """
+    max_steps = max(1, max_steps)
     status, n_done, *_ = _run_kernel(state, obj, ds if ds is not None else config.step_ds,
-                                     config.max_pulse_steps, stop_travel=stop_travel,
-                                     stop_rot=stop_rot)
+                                     min(config.max_pulse_steps, 4 * max_steps // 3 + 2),
+                                     stop_travel=stop_travel, stop_rot=stop_rot)
     if status == _backend.STATUS_DROPPED:
         n_done = (3 * n_done) // 4
-    return max(1, n_done)
+    return min(max(1, n_done), max_steps)
 
 
 def _in_limits(theta: float, limits: tuple[float, float]) -> bool:
@@ -612,6 +621,12 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
     # observations; it caps slide lengths so an unlearned bias cannot
     # convert a long climb into a large unintended rotation
     bias_unc = config.pressure_uncertainty_prior
+    # travel/rotation governor: if the pressure estimate is off, the plant
+    # can advance at the full translational rate (step scale k_max) even
+    # when the model expects a slow near-rotational crawl; never command
+    # more steps than the intended travel, or 1.5x the intended rotation,
+    # at top speed
+    k_max = 1.0 / obj.weight ** 2
 
     def belief_state() -> ContactState:
         return ContactState(env.finger_pose(), obs, _belief_patch(nominal, pi), False)
@@ -711,10 +726,10 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
                     # one step of ds*k, which would otherwise dwarf the
                     # intended overshoot
                     ds_pulse = 0.25 * config.step_ds
-                n_steps = _size_pulse(belief, obj, config, stop_travel=travel,
-                                      stop_rot=config.rotation_guard, ds=ds_pulse)
-                k_max = 1.0 / obj.weight ** 2
-                n_steps = min(n_steps, max(1, round(travel / (ds_pulse * k_max))))
+                n_steps = _size_pulse(belief, obj, config,
+                                      round(travel / (ds_pulse * k_max)),
+                                      stop_travel=travel, stop_rot=config.rotation_guard,
+                                      ds=ds_pulse)
             elif stage == 2:
                 # undershoot on purpose: overshooting past the goal leaves it
                 # hanging below the contact, where no in-window orientation
@@ -736,14 +751,10 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
                     travel = max(min(travel, config.stage2_swing_budget
                                      * belief.patch.torque_arm ** 2 / waste_rate),
                                  0.001)
-                n_steps = _size_pulse(belief, obj, config, stop_travel=travel,
-                                      stop_rot=config.rotation_guard, ds=ds_pulse)
-                # travel governor: if the pressure estimate is off, the plant
-                # can advance at the full translational rate even when the
-                # model expects a slow near-rotational crawl; never command
-                # more steps than the intended travel at top speed
-                k_max = 1.0 / obj.weight ** 2
-                n_steps = min(n_steps, max(1, round(travel / (ds_pulse * k_max))))
+                n_steps = _size_pulse(belief, obj, config,
+                                      round(travel / (ds_pulse * k_max)),
+                                      stop_travel=travel, stop_rot=config.rotation_guard,
+                                      ds=ds_pulse)
             else:
                 e = residual(3, belief)
                 dtheta = min(0.8 * e, config.max_pulse_rotation)
@@ -751,11 +762,9 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
                     # a below-vertical lever decays toward alignment, so a
                     # pulse cannot deliver more than the lever angle itself
                     dtheta = min(dtheta, 0.6 * gamma)
-                n_steps = _size_pulse(belief, obj, config, stop_rot=dtheta,
-                                      stop_travel=config.stage3_travel_guard)
-                # rotation governor, same reasoning as the travel governor
-                k_max = 1.0 / obj.weight ** 2
-                n_steps = min(n_steps, max(1, round(1.5 * dtheta / (config.step_ds * k_max))))
+                n_steps = _size_pulse(belief, obj, config,
+                                      round(1.5 * dtheta / (config.step_ds * k_max)),
+                                      stop_rot=dtheta, stop_travel=config.stage3_travel_guard)
 
             predicted = _predict_pulse(belief, obj, ds_pulse, n_steps)
             points = env.pulse(n_steps, ds_pulse)

@@ -2,13 +2,16 @@
 
 File surface units are millimeters and degrees (and grams for mass);
 everything internal is SI. Unknown keys are rejected so that typos in
-hand-written scenarios fail loudly.
+hand-written scenarios fail loudly, and every number must be a finite,
+non-bool real: a bad value is a ScenarioError naming its file key (and
+quoting it in file units), never a traceback or a NaN in the planner.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -27,16 +30,53 @@ MM = 0.001
 
 
 def _check_keys(block: dict, allowed: set[str], where: str):
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where} must be an object, got {block!r}")
     unknown = set(block) - allowed
     if unknown:
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _number(value, key: str, positive: bool = False, integer: bool = False):
+    """value unchanged if it is a finite, non-bool real number (an integer
+    when integer, above zero when positive); else a ScenarioError naming
+    the file key."""
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not abs(value) <= sys.float_info.max or (positive and not value > 0)):
+        kind = "integer" if integer else "number"
+        what = "a positive" if positive else "an" if integer else "a finite"
+        raise ScenarioError(f"{key} must be {what} {kind}, got {value!r}")
+    return value
+
+
+def _numbers(values, key: str, n: int, positive: bool = False) -> list:
+    if not (isinstance(values, (list, tuple)) and len(values) == n):
+        raise ScenarioError(f"{key} must be a list of {n} numbers, got {values!r}")
+    return [_number(v, f"{key}[{i}]", positive) for i, v in enumerate(values)]
+
+
+def _build(cls, where: str, **kwargs):
+    """cls(**kwargs), with its ValueError re-raised as a ScenarioError.
+
+    The values are checked against the file first, so a ValueError left
+    here quotes no scaled (SI) number."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def _pose_mm_deg(values, where: str) -> PoseSE2:
-    if not (isinstance(values, (list, tuple)) and len(values) == 3):
-        raise ScenarioError(f"{where} must be [x_mm, y_mm, theta_deg]")
-    x, y, th = values
+    x, y, th = _numbers(values, where, 3)
     return PoseSE2(x * MM, y * MM, math.radians(th))
+
+
+def _object_model(ob: dict, where: str, gravity: float = 9.81) -> ObjectModel:
+    mass_g = _number(ob["mass_g"], f"{where}.mass_g", positive=True)
+    w, h = _numbers(ob["extents_mm"], f"{where}.extents_mm", 2, positive=True)
+    com = _numbers(ob.get("com_offset_mm", [0, 0]), f"{where}.com_offset_mm", 2)
+    return _build(ObjectModel, where, mass=mass_g / 1000.0, extents=(w * MM, h * MM),
+                  com_offset=tuple(v * MM for v in com), gravity=gravity)
 
 
 def _pose_to_mm_deg(p: PoseSE2) -> list[float]:
@@ -68,18 +108,17 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     try:
         ob = doc["object"]
         _check_keys(ob, {"mass_g", "extents_mm", "com_offset_mm"}, "object")
-        obj = ObjectModel(
-            mass=ob["mass_g"] / 1000.0,
-            extents=(ob["extents_mm"][0] * MM, ob["extents_mm"][1] * MM),
-            com_offset=tuple(v * MM for v in ob.get("com_offset_mm", [0, 0])),
-            gravity=doc.get("gravity_mps2", 9.81),
-        )
+        obj = _object_model(ob, "object", gravity=_number(
+            doc.get("gravity_mps2", 9.81), "gravity_mps2", positive=True))
         pa = doc["patch"]
         _check_keys(pa, {"r0_mm", "c", "pressure_center_offset_mm"}, "patch")
-        patch = ContactPatch(
-            r0=pa["r0_mm"] * MM,
-            c=pa.get("c", 0.6),
-            pressure_center_offset=tuple(v * MM for v in pa.get("pressure_center_offset_mm", [0, 0])),
+        offset = _numbers(pa.get("pressure_center_offset_mm", [0, 0]),
+                          "patch.pressure_center_offset_mm", 2)
+        patch = _build(
+            ContactPatch, "patch",
+            r0=_number(pa["r0_mm"], "patch.r0_mm", positive=True) * MM,
+            c=_number(pa.get("c", 0.6), "patch.c"),
+            pressure_center_offset=tuple(v * MM for v in offset),
         )
         initial = _pose_mm_deg(doc["initial_rel_mm_deg"], "initial_rel_mm_deg")
         goal = _pose_mm_deg(doc["goal_rel_mm_deg"], "goal_rel_mm_deg")
@@ -96,20 +135,26 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
 
 def _parse_noise(block: dict) -> NoiseModel:
     _check_keys(block, {"pos_sigma_mm", "angle_sigma_deg", "seed"}, "noise")
-    return NoiseModel(
-        pos_sigma=block.get("pos_sigma_mm", 0.0) * MM,
-        angle_sigma=math.radians(block.get("angle_sigma_deg", 0.0)),
-        seed=block.get("seed", 0),
+    return _build(
+        NoiseModel, "noise",
+        pos_sigma=_number(block.get("pos_sigma_mm", 0.0), "noise.pos_sigma_mm") * MM,
+        angle_sigma=math.radians(_number(block.get("angle_sigma_deg", 0.0),
+                                         "noise.angle_sigma_deg")),
+        seed=_number(block.get("seed", 0), "noise.seed", integer=True),
     )
 
 
 def _parse_perturbation(block: dict) -> PerturbationModel:
     _check_keys(block, {"pressure_bias_sigma_mm", "radius_jitter_sigma_mm",
                         "pressure_bias_fixed_mm"}, "perturbation")
+
+    def mm(key: str) -> float:
+        return _number(block.get(key, 0.0), f"perturbation.{key}") * MM
+
     return PerturbationModel(
-        pressure_bias_sigma=block.get("pressure_bias_sigma_mm", 0.0) * MM,
-        radius_jitter_sigma=block.get("radius_jitter_sigma_mm", 0.0) * MM,
-        pressure_bias_fixed=block.get("pressure_bias_fixed_mm", 0.0) * MM,
+        pressure_bias_sigma=mm("pressure_bias_sigma_mm"),
+        radius_jitter_sigma=mm("radius_jitter_sigma_mm"),
+        pressure_bias_fixed=mm("pressure_bias_fixed_mm"),
     )
 
 
@@ -129,6 +174,10 @@ def _parse_planner(block: dict) -> PlannerConfig:
     _check_keys(block, set(_PLANNER_KEYS), "planner")
     kwargs = {}
     for key, value in block.items():
+        if key == "finger_limits_rad":
+            value = _numbers(value, "planner.finger_limits_rad", 2)
+        else:
+            value = _number(value, f"planner.{key}", integer=key == "max_actions_per_stage")
         if key == "kp":
             kwargs.setdefault("pi_gains", [0.5, 0.1])
             kwargs["pi_gains"] = (value, kwargs["pi_gains"][1])
@@ -142,10 +191,7 @@ def _parse_planner(block: dict) -> PlannerConfig:
             kwargs[attr] = value * scale if scale != 1 else value
     if "pi_gains" in kwargs:
         kwargs["pi_gains"] = tuple(kwargs["pi_gains"])
-    try:
-        return PlannerConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"planner: {exc}") from exc
+    return _build(PlannerConfig, "planner", **kwargs)
 
 
 def scenario_to_doc(s: Scenario) -> dict:
@@ -206,15 +252,6 @@ class EvalConfig:
     step_ds: float = 1e-3
 
 
-def _positive(doc: dict, key: str, default, integer: bool = False):
-    value = doc.get(key, default)
-    types = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, types) or not value > 0:
-        kind = "integer" if integer else "number"
-        raise ScenarioError(f"{key} in eval config must be a positive {kind}, got {value!r}")
-    return value
-
-
 def load_eval_config(path: str | Path) -> EvalConfig:
     path = Path(path)
     try:
@@ -228,27 +265,31 @@ def load_eval_config(path: str | Path) -> EvalConfig:
         raise ScenarioError(f"unknown mode {mode!r} in eval config")
     objects = None
     if "objects" in doc:
+        if not isinstance(doc["objects"], list):
+            raise ScenarioError(f"objects in eval config must be a list, got {doc['objects']!r}")
         objects = []
         for i, ob in enumerate(doc["objects"]):
-            _check_keys(ob, {"name", "surface", "mass_g", "extents_mm", "com_offset_mm"},
-                        f"objects[{i}]")
+            where = f"objects[{i}]"
+            _check_keys(ob, {"name", "surface", "mass_g", "extents_mm", "com_offset_mm"}, where)
+            try:
+                model = _object_model(ob, where)
+            except KeyError as exc:
+                raise ScenarioError(f"missing required key {exc} in {where}") from exc
             objects.append({
                 "name": ob.get("name", f"object{i + 1}"),
                 "surface": ob.get("surface", ""),
-                "model": ObjectModel(
-                    mass=ob["mass_g"] / 1000.0,
-                    extents=(ob["extents_mm"][0] * MM, ob["extents_mm"][1] * MM),
-                    com_offset=tuple(v * MM for v in ob.get("com_offset_mm", [0, 0]))),
+                "model": model,
             })
     return EvalConfig(
         mode=mode,
-        n_trials=_positive(doc, "n_trials", 10, integer=True),
+        n_trials=_number(doc.get("n_trials", 10), "n_trials", positive=True, integer=True),
         noise=_parse_noise(doc.get("noise", {})),
         perturbation=_parse_perturbation(doc.get("perturbation", {})),
         planner=_parse_planner(doc.get("planner", {})),
         objects=objects,
-        pulse_steps=_positive(doc, "pulse_steps", 2000, integer=True),
-        step_ds=_positive(doc, "step_ds", 1e-3),
+        pulse_steps=_number(doc.get("pulse_steps", 2000), "pulse_steps",
+                            positive=True, integer=True),
+        step_ds=_number(doc.get("step_ds", 1e-3), "step_ds", positive=True),
     )
 
 

@@ -1,11 +1,13 @@
 """The compiled and pure-Python kernels must be interchangeable."""
 
 import collections
+import math
 import random
 
 import pytest
 
 from vib2move import _backend, _reference
+from vib2move._reference import STATUS_BUDGET, STATUS_DROPPED, STATUS_REST, STATUS_TARGET
 
 try:
     from vib2move import _native
@@ -25,19 +27,12 @@ def random_args(rng, n_steps, record):
     )
 
 
-def test_backend_is_selected():
-    assert _backend.BACKEND in ("native", "python")
-    assert callable(_backend.rollout_core)
-
-
-@pytest.mark.skipif(_native is None, reason="compiled kernel not built")
-def test_kernels_bit_identical():
-    # predictive and reached stop targets, rest stops, drops and budget
-    # ends, with and without the optional stop arguments
-    rng = random.Random(123)
-    statuses = collections.Counter()
-    for i in range(400):
-        args = list(random_args(rng, 3000, i % 2 == 0))
+def random_calls(rng, n_calls, n_steps):
+    """Argument lists covering predictive and reached stop targets, rest
+    stops, drops and budget ends, recorded and not, with and without the
+    optional stop arguments (19, 20 and 21 args)."""
+    for i in range(n_calls):
+        args = list(random_args(rng, n_steps, i % 2 == 0))
         variant = i % 5
         if variant == 1:
             args[-2] = 1e-5
@@ -47,14 +42,130 @@ def test_kernels_bit_identical():
             args += [-1.0, rng.uniform(0.01, 0.5)]
         elif variant == 4:
             args += [rng.uniform(0.001, 0.03), rng.uniform(0.01, 0.5)]
+        yield args
+
+
+ALL_STATUSES = {STATUS_BUDGET, STATUS_REST, STATUS_DROPPED, STATUS_TARGET}
+
+
+def test_backend_is_selected():
+    assert _backend.BACKEND in ("native", "python")
+    assert callable(_backend.rollout_core)
+
+
+@pytest.mark.skipif(_native is None, reason="compiled kernel not built")
+def test_kernels_bit_identical():
+    rng = random.Random(123)
+    statuses = collections.Counter()
+    for args in random_calls(rng, 400, 3000):
         ref = _reference.rollout_core(*args)
         nat = _native.rollout_core(*args)
         assert repr(ref) == repr(nat)
         statuses[ref[0]] += 1
-    assert set(statuses) == {
-        _reference.STATUS_BUDGET, _reference.STATUS_REST,
-        _reference.STATUS_DROPPED, _reference.STATUS_TARGET,
-    }
+    assert set(statuses) == ALL_STATUSES
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _rollout_core_recomputing_angle_terms(
+    ox, oy, oth,
+    fx, fy, fth,
+    pdx, pdy,
+    cdx, cdy,
+    hx, hy,
+    mass, gravity, a3,
+    ds, n_max, stop_eps, record,
+    stop_travel=-1.0, stop_rot=-1.0,
+):
+    """The Python kernel as it was before cos/sin of the object angle were
+    carried from one step's drop check into the next step and the loop
+    invariants were hoisted; kept verbatim as the reference."""
+    cf = math.cos(fth)
+    sf = math.sin(fth)
+    pcx = fx + cf * pdx - sf * pdy
+    pcy = fy + sf * pdx + cf * pdy
+    mg = mass * gravity
+    a3sq = a3 * a3
+    records = []
+    status = STATUS_BUDGET
+    n_done = 0
+    travel = 0.0
+    rot = 0.0
+    for i in range(n_max):
+        co = math.cos(oth)
+        so = math.sin(oth)
+        comx = ox + co * cdx - so * cdy
+        comy = oy + so * cdx + co * cdy
+        xc = comx - pcx
+        if stop_eps > 0.0 and comy < pcy and abs(xc) < stop_eps:
+            status = STATUS_REST
+            break
+        wy = -mg
+        wt = -mg * xc
+        ty = wy
+        tw = wt / a3sq
+        n = math.sqrt(ty * ty + tw * tw)
+        uy = ty / n
+        uw = tw / n
+        tt = wt / a3
+        k = 1.0 / (wy * wy + tt * tt)
+        h = ds * k
+        phi = uw * h
+        # predictive stop: do not take a step that would overshoot a stop
+        # target by more than half the step itself
+        if stop_travel > 0.0:
+            step_t = h * abs(uy)
+            if travel + step_t > stop_travel and stop_travel - travel < 0.5 * step_t:
+                status = STATUS_TARGET
+                break
+        if stop_rot > 0.0:
+            step_r = abs(phi)
+            if rot + step_r > stop_rot and stop_rot - rot < 0.5 * step_r:
+                status = STATUS_TARGET
+                break
+        cphi = math.cos(phi)
+        sphi = math.sin(phi)
+        rx = ox - pcx
+        ry = oy - pcy
+        ox = pcx + cphi * rx - sphi * ry
+        oy = pcy + sphi * rx + cphi * ry + uy * h
+        oth = oth + phi
+        r = math.fmod(oth + math.pi, _TWO_PI)
+        if r <= 0.0:
+            r += _TWO_PI
+        oth = r - math.pi
+        n_done = i + 1
+        if record:
+            records.append((ox, oy, oth, uy, uw, k, xc))
+        co = math.cos(oth)
+        so = math.sin(oth)
+        dx = pcx - ox
+        dy = pcy - oy
+        lx = co * dx + so * dy
+        ly = -so * dx + co * dy
+        if lx > hx or -lx > hx or ly > hy or -ly > hy:
+            status = STATUS_DROPPED
+            break
+        travel += h * abs(uy)
+        rot += abs(phi)
+        if (stop_travel > 0.0 and travel >= stop_travel) or (stop_rot > 0.0 and rot >= stop_rot):
+            status = STATUS_TARGET
+            break
+    return status, n_done, ox, oy, oth, records
+
+
+def test_python_kernel_matches_recomputing_reference():
+    rng = random.Random(456)
+    statuses = collections.Counter()
+    arities = collections.Counter()
+    for args in random_calls(rng, 1000, 500):
+        got = _reference.rollout_core(*args)
+        assert repr(got) == repr(_rollout_core_recomputing_angle_terms(*args))
+        statuses[got[0]] += 1
+        arities[len(args), args[18]] += 1
+    assert set(statuses) == ALL_STATUSES
+    assert set(arities) == {(n, rec) for n in (19, 20, 21) for rec in (False, True)}
 
 
 @pytest.mark.skipif(_native is None, reason="compiled kernel not built")

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import logging
+import math
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,35 @@ class TestBadStepInputs:
         assert run(["plan", "--scenario", bad, "--out", tmp_path / "o"]) == 1
         [msg] = _error_lines(caplog)
         assert key in msg and repr(value) in msg and "\n" not in msg
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path, value, key", [
+        (("object", "mass_g"), "90", "object.mass_g"),
+        (("goal_rel_mm_deg", 2), "22.9", "goal_rel_mm_deg[2]"),
+        (("object", "mass_g"), -5, "object.mass_g"),
+        (("object", "mass_g"), math.nan, "object.mass_g"),
+        (("goal_rel_mm_deg", 1), math.inf, "goal_rel_mm_deg[1]"),
+        (("noise", "pos_sigma_mm"), math.nan, "noise.pos_sigma_mm"),
+    ])
+    def test_bad_scenario_number_rejected(self, tmp_path, caplog, path, value, key):
+        doc = json.loads(bundled_path("demo_plan").read_text())
+        doc[path[0]][path[1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["plan", "--scenario", bad, "--out", tmp_path / "o"]) == 1
+        [msg] = _error_lines(caplog)
+        # quoted as written in the file (grams, not the SI -0.005 kg)
+        assert key in msg and repr(value) in msg and "\n" not in msg
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_eval_object_rejected(self, tmp_path, caplog):
+        doc = json.loads(bundled_path("eval_noisy").read_text())
+        doc["objects"] = [{"mass_g": math.nan, "extents_mm": [90.0, 150.0]}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["evaluate", "--config", bad, "--out", tmp_path / "o"]) == 1
+        [msg] = _error_lines(caplog)
+        assert "objects[0].mass_g" in msg and "nan" in msg and "\n" not in msg
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value", [("step_ds", 0), ("pulse_steps", -5), ("n_trials", 0)])

@@ -1,9 +1,11 @@
+import collections
 import math
 import random
 from dataclasses import replace
 
 import pytest
 
+from vib2move import _backend
 from vib2move.contact import ContactPatch, ObjectModel
 from vib2move.harness import PlantEnv, default_patch, state_from_relative
 from vib2move.planner import (
@@ -15,6 +17,7 @@ from vib2move.planner import (
     SingularityError,
     _predict_pulse,
     _pressure_error_from_pulse,
+    _size_pulse,
     _stage3_candidates,
     _stage3_target,
     check_reachability,
@@ -24,6 +27,7 @@ from vib2move.planner import (
     subgoal_centering,
     subgoal_positioning,
 )
+from vib2move.integrator import _run_kernel
 from vib2move.se2 import PoseSE2, relative_pose, transform_point, wrap_angle
 
 from conftest import state_with_contact_at
@@ -305,3 +309,53 @@ def test_pressure_error_matches_replace_based_estimator():
                        patch.pressure_center_offset[1] - math.sin(th) * e) >= r0
             for e in _ERROR_GRID)
     assert min(seen.values()) >= 10, seen
+
+
+def _uncapped_size_pulse(state, obj, config, stop_travel=-1.0, stop_rot=-1.0, ds=None):
+    """Pulse sizing as first written, rolling out the full max_pulse_steps
+    before any governor clips it; kept as the reference."""
+    status, n_done, *_ = _run_kernel(state, obj, ds if ds is not None else config.step_ds,
+                                     config.max_pulse_steps, stop_travel=stop_travel,
+                                     stop_rot=stop_rot)
+    if status == _backend.STATUS_DROPPED:
+        n_done = (3 * n_done) // 4
+    return max(1, n_done)
+
+
+def test_size_pulse_cap_matches_clipped_uncapped_sizing():
+    rng = random.Random(77)
+    seen = collections.Counter()
+    for i in range(600):
+        obj = ObjectModel(mass=rng.uniform(0.05, 0.1), extents=(0.09, 0.15),
+                          com_offset=(rng.uniform(-0.01, 0.01), rng.uniform(-0.01, 0.01)))
+        patch = ContactPatch(r0=0.015, c=0.6, pressure_center_offset=(
+            rng.uniform(-0.004, 0.004), rng.uniform(-0.004, 0.004)))
+        finger = PoseSE2(rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02),
+                         rng.uniform(-1.2, 1.5))
+        belief = state_with_contact_at(
+            patch, (rng.uniform(-0.04, 0.04), rng.uniform(-0.07, 0.07)),
+            theta_o=rng.uniform(-3.1, 3.1), vibration_on=False, finger=finger)
+        config = PlannerConfig(max_pulse_steps=rng.choice((300, 1200)))
+        target = ("travel", "rotation", "both")[i % 3]
+        stops = {
+            "stop_travel": rng.uniform(0.001, 0.03) if target != "rotation" else -1.0,
+            "stop_rot": rng.uniform(0.01, 0.5) if target != "travel" else -1.0,
+            "ds": rng.choice((None, 2.5e-4)),
+        }
+        uncapped = _uncapped_size_pulse(belief, obj, config, **stops)
+        status, drop_step, *_ = _run_kernel(
+            belief, obj, stops["ds"] or config.step_ds, config.max_pulse_steps,
+            stop_travel=stops["stop_travel"], stop_rot=stops["stop_rot"])
+        bounds = [rng.randint(1, 2 * uncapped + 4), rng.randint(1, 8)]
+        if status == _backend.STATUS_DROPPED and drop_step >= 2:
+            # a drop at step D with m < D <= 4m/3 sizes to 3D//4 < m, so
+            # the capped rollout must still reach D
+            bounds += [rng.randint(-(-3 * drop_step // 4), drop_step - 1) for _ in range(2)]
+        for m in bounds:
+            got = _size_pulse(belief, obj, config, m, **stops)
+            assert got == min(max(1, uncapped), m), (i, m, stops)
+            seen[target] += 1
+            if status == _backend.STATUS_DROPPED and m < drop_step <= 4 * m / 3:
+                seen["drop_in_window"] += got < m
+            seen["clipped" if got == m < uncapped else "unclipped"] += 1
+    assert min(seen.values()) >= 20, seen

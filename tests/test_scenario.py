@@ -111,3 +111,27 @@ def test_eval_config_rejects_unknown_mode(tmp_path):
     p.write_text(json.dumps({"mode": "warp"}))
     with pytest.raises(ScenarioError, match="mode"):
         load_eval_config(p)
+
+
+@pytest.mark.parametrize("block, key, value, match", [
+    ("perturbation", "pressure_bias_fixed_mm", "2", r"perturbation\.pressure_bias_fixed_mm"),
+    ("planner", "kp", math.nan, r"planner\.kp"),
+    ("planner", "finger_limits_rad", [-1.0, True], r"planner\.finger_limits_rad\[1\]"),
+    ("planner", "max_actions_per_stage", 2.5, r"planner\.max_actions_per_stage"),
+    ("noise", "seed", True, r"noise\.seed"),
+    ("noise", "angle_sigma_deg", -1.0, "noise: noise sigmas must be nonnegative"),
+    ("patch", "c", 1.5, r"patch: torque constant must be in \(0, 1\], got 1\.5"),
+    ("patch", "r0_mm", 0, r"patch\.r0_mm must be a positive number, got 0"),
+])
+def test_bad_block_value_names_key(block, key, value, match):
+    doc = json.loads(bundled_path("demo_plan").read_text())
+    doc.setdefault(block, {})[key] = value
+    with pytest.raises(ScenarioError, match=match):
+        parse_scenario(doc)
+
+
+def test_eval_config_object_missing_key(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"objects": [{"extents_mm": [90, 150]}]}))
+    with pytest.raises(ScenarioError, match=r"'mass_g' in objects\[0\]"):
+        load_eval_config(p)
