@@ -169,12 +169,12 @@ def cmd_evaluate(args) -> int:
     cfg = load_eval_config(_resolve_scenario(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    noise = replace(cfg.noise, seed=args.seed) if args.seed is not None else cfg.noise
+    noise = replace(cfg.noise, seed=args.seed)
     docs = {}
     if cfg.mode in ("reconfigure", "both"):
         report = run_reconfiguration_eval(
             objects=cfg.objects, n_paths_per_object=cfg.n_trials, noise=noise,
-            perturb=cfg.perturbation, config=cfg.planner, seed=args.seed or 0)
+            perturb=cfg.perturbation, config=cfg.planner, seed=args.seed)
         docs["reconfigure"] = report
         with open(out / "trials.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -199,7 +199,7 @@ def cmd_evaluate(args) -> int:
     if cfg.mode in ("single_pulse", "both"):
         pulse_report = run_single_pulse_eval(
             n_trials=cfg.n_trials * 10, ds=cfg.step_ds, n_steps=cfg.pulse_steps,
-            noise=noise, perturb=cfg.perturbation, seed=args.seed or 0)
+            noise=noise, perturb=cfg.perturbation, seed=args.seed)
         docs["single_pulse"] = pulse_report
         log.info("single pulse: rmse %.3f mm / %.3f deg over %d trials",
                  pulse_report.rmse_pos * 1000, math.degrees(pulse_report.rmse_angle),

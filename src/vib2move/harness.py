@@ -21,6 +21,7 @@ from .planner import (
     PlannerConfig,
     PlanningError,
     PlanningProblem,
+    _goal_met,
     check_reachability,
     plan_and_execute,
     primitive_reorient,
@@ -86,12 +87,14 @@ def observe(true_pose: PoseSE2, noise: NoiseModel, rng: random.Random) -> PoseSE
 
 
 class PlantEnv:
-    """True plant driven by planner actions.
+    """True plant driven by planner actions; meets plan_and_execute's
+    environment contract.
 
     Holds the true state (with the possibly perturbed patch), enforces the
-    finger orientation limits like the robot would, and serves noisy
-    observations. A per-action trace of true relative poses is kept so
-    tests can assert the primitive contracts on every action.
+    finger orientation limits like the robot would (by default the
+    PlannerConfig window), serves noisy observations and, for scoring
+    only, the true object pose. A per-action trace of true relative poses
+    is kept so tests can assert the primitive contracts on every action.
 
     pulse() returns the per-step trajectory points only when the env was
     built with record=True; otherwise it returns an empty list, which is
@@ -100,7 +103,7 @@ class PlantEnv:
 
     def __init__(self, state: ContactState, obj: ObjectModel,
                  noise: NoiseModel | None = None, rng: random.Random | None = None,
-                 orientation_limits: tuple[float, float] = (-1.2, 1.5),
+                 orientation_limits: tuple[float, float] = PlannerConfig.finger_orientation_limits,
                  record: bool = False):
         self.state = replace(state, vibration_on=False)
         self.obj = obj
@@ -173,7 +176,7 @@ def default_patch() -> ContactPatch:
     return ContactPatch(r0=0.015, c=0.6)
 
 
-def default_initial_rel(obj: ObjectModel, rng: random.Random | None = None) -> PoseSE2:
+def default_initial_rel(obj: ObjectModel, rng: random.Random) -> PoseSE2:
     """A plausible starting grasp: contact a little below the center of mass.
 
     Grasping under the center keeps the stage-1 reorient inside the
@@ -182,8 +185,6 @@ def default_initial_rel(obj: ObjectModel, rng: random.Random | None = None) -> P
     cone above it.
     """
     hx, hy = obj.extents[0] / 2.0, obj.extents[1] / 2.0
-    if rng is None:
-        return PoseSE2(0.0, -0.3 * hy, 0.0)
     return PoseSE2(rng.uniform(-0.2, 0.2) * hx,
                    -rng.uniform(0.18, 0.4) * hy,
                    rng.uniform(-0.12, 0.12))
@@ -196,45 +197,52 @@ def state_from_relative(rel: PoseSE2, patch: ContactPatch,
     return ContactState(finger_world, object_pose, patch, False)
 
 
+# the evaluation protocol's goal sampling: translation disk radius,
+# rotation range, minimum gravity lever and draws before giving up
+GOAL_MAX_TRANSLATION = 0.05
+GOAL_MAX_ROTATION = math.radians(60.0)
+GOAL_LEVER_MIN = 0.012
+GOAL_MAX_TRIES = 400
+
+
 def sample_goal(rng: random.Random, initial_rel: PoseSE2, obj: ObjectModel,
-                patch: ContactPatch, config: PlannerConfig,
-                max_translation: float = 0.05, max_rotation: float = math.radians(60.0),
-                lever_min: float = 0.012, max_tries: int = 400) -> PoseSE2:
+                patch: ContactPatch, config: PlannerConfig) -> PoseSE2:
     """Sample a feasible relative goal pose near the initial grasp.
 
-    Goals are uniform within the translation disk and rotation range,
-    then filtered the way the evaluation protocol filters them: the goal
-    contact must stay on the object (patch-radius margin), goals that
-    need an orientation change keep a minimum gravity lever arm from the
-    center of mass, and every stage's required finger orientation must
-    fall inside the allowed window.
+    Goals are uniform within GOAL_MAX_TRANSLATION of the grasp and
+    GOAL_MAX_ROTATION of its angle, then filtered the way the evaluation
+    protocol filters them: the goal contact must stay on the object
+    (patch-radius margin), a goal already met at the grasp is redrawn,
+    goals that need an orientation change keep GOAL_LEVER_MIN of gravity
+    lever from the center of mass, and every stage's required finger
+    orientation must fall inside the allowed window. After GOAL_MAX_TRIES
+    rejected draws it raises RuntimeError.
     """
     hx, hy = obj.extents[0] / 2.0, obj.extents[1] / 2.0
     margin = patch.r0 + 0.003
     state = state_from_relative(initial_rel, patch)
-    problem_patch = patch
     # screen with extra orientation margin: the planner re-checks from a
     # noisy initial observation, so borderline goals would flip on it
     screen_config = replace(config, reach_margin=config.reach_margin + 0.06)
-    for _ in range(max_tries):
-        r = max_translation * math.sqrt(rng.random())
+    for _ in range(GOAL_MAX_TRIES):
+        r = GOAL_MAX_TRANSLATION * math.sqrt(rng.random())
         phi = rng.uniform(-math.pi, math.pi)
-        dth = rng.uniform(-max_rotation, max_rotation)
+        dth = rng.uniform(-GOAL_MAX_ROTATION, GOAL_MAX_ROTATION)
         goal = PoseSE2(initial_rel.x + r * math.cos(phi),
                        initial_rel.y + r * math.sin(phi),
                        initial_rel.theta + dth)
         if abs(goal.x) > hx - margin or abs(goal.y) > hy - margin:
             continue
         # trivial goals (already satisfied at the grasp) test nothing
-        if (math.hypot(goal.x - initial_rel.x, goal.y - initial_rel.y) < config.r_error
-                and abs(wrap_angle(goal.theta - initial_rel.theta)) < config.r_theta_error):
+        if _goal_met(goal, initial_rel, config):
             continue
         lever = math.hypot(goal.x - obj.com_offset[0], goal.y - obj.com_offset[1])
-        if abs(wrap_angle(goal.theta - initial_rel.theta)) > config.r_theta_error and lever < lever_min:
+        if (abs(wrap_angle(goal.theta - initial_rel.theta)) > config.r_theta_error
+                and lever < GOAL_LEVER_MIN):
             continue
         try:
             check_reachability(state.finger_pose_w, state.object_pose_w,
-                               PlanningProblem(goal, obj, problem_patch), screen_config)
+                               PlanningProblem(goal, obj, patch), screen_config)
         except OrientationLimitError:
             continue
         return goal
@@ -298,17 +306,16 @@ def _trial_rng(seed: int, index: int) -> random.Random:
 def run_single_pulse_eval(n_trials: int, ds: float = 1e-3, n_steps: int = 25,
                           noise: NoiseModel | None = None,
                           perturb: PerturbationModel | None = None,
-                          obj: ObjectModel | None = None,
-                          patch: ContactPatch | None = None,
                           seed: int = 0) -> MetricsReport:
     """Single-action prediction error, the simulated analogue of a
     model-evaluation table: roll the perturbed plant through one pulse and
-    compare against the nominal-model prediction of the same pulse.
+    compare against the nominal-model prediction of the same pulse, on the
+    first benchmark plate with the default patch.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    obj = obj or default_objects()[0]["model"]
-    patch = patch or default_patch()
+    obj = default_objects()[0]["model"]
+    patch = default_patch()
     noise = noise or NoiseModel(0.0, 0.0)
     perturb = perturb or PerturbationModel()
     hx, hy = obj.extents[0] / 2.0, obj.extents[1] / 2.0
@@ -343,11 +350,7 @@ def run_single_pulse_eval(n_trials: int, ds: float = 1e-3, n_steps: int = 25,
         err_ang = abs(wrap_angle(rel_meas.theta - rel_pred.theta))
         trials.append(TrialRecord(i, "single_pulse", PoseSE2(*contact, 0.0),
                                   True, err_pos, err_ang, 1))
-    summary = _summarize(trials, max(obj.extents))
-    return MetricsReport(rmse_pos=summary["rmse_pos"], rmse_angle=summary["rmse_angle"],
-                         rel_error_pct=summary["rel_error_pct"],
-                         success_rate=summary["success_rate"], n_trials=n_trials,
-                         trials=tuple(trials))
+    return MetricsReport(**_summarize(trials, max(obj.extents)), trials=tuple(trials))
 
 
 def run_reconfiguration_eval(objects: list[dict] | None = None,
@@ -355,9 +358,7 @@ def run_reconfiguration_eval(objects: list[dict] | None = None,
                              noise: NoiseModel | None = None,
                              perturb: PerturbationModel | None = None,
                              config: PlannerConfig | None = None,
-                             patch: ContactPatch | None = None,
-                             seed: int = 0,
-                             randomize_grasp: bool = True) -> MetricsReport:
+                             seed: int = 0) -> MetricsReport:
     """Closed-loop evaluation over the benchmark objects.
 
     Per trial: sample a grasp and a feasible goal, perturb the plant
@@ -370,7 +371,7 @@ def run_reconfiguration_eval(objects: list[dict] | None = None,
     noise = noise or NoiseModel(0.0, 0.0)
     perturb = perturb or PerturbationModel()
     config = config or PlannerConfig()
-    patch = patch or default_patch()
+    patch = default_patch()
     trials: list[TrialRecord] = []
     per_object: dict[str, dict] = {}
     index = 0
@@ -381,13 +382,12 @@ def run_reconfiguration_eval(objects: list[dict] | None = None,
             rng = _trial_rng(seed, index)
             goal = None
             for _ in range(8):  # a tight grasp can exhaust the goal sampler
-                rel0 = default_initial_rel(obj, rng if randomize_grasp else None)
+                rel0 = default_initial_rel(obj, rng)
                 try:
                     goal = sample_goal(rng, rel0, obj, patch, config)
                     break
                 except RuntimeError:
-                    if not randomize_grasp:
-                        break
+                    pass
             if goal is None:
                 obj_trials.append(TrialRecord(index, entry["name"], PoseSE2(0, 0, 0),
                                               False, 0.0, 0.0, 0,
@@ -421,8 +421,4 @@ def run_reconfiguration_eval(objects: list[dict] | None = None,
              "weight_g": obj.mass * 1000.0})
         trials.extend(obj_trials)
     ref = (sum(max(e["model"].extents) for e in objects) / len(objects)) if objects else 1.0
-    summary = _summarize(trials, ref)
-    return MetricsReport(rmse_pos=summary["rmse_pos"], rmse_angle=summary["rmse_angle"],
-                         rel_error_pct=summary["rel_error_pct"],
-                         success_rate=summary["success_rate"], n_trials=len(trials),
-                         trials=tuple(trials), per_object=per_object)
+    return MetricsReport(**_summarize(trials, ref), trials=tuple(trials), per_object=per_object)

@@ -156,16 +156,25 @@ def _points_from_records(state: ContactState, records, start_index: int = 1) -> 
     return points
 
 
+def _slide(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
+           stop_eps: float = -1.0, record: bool = False):
+    """Kernel rollout from state: (new state, status, steps done, records).
+
+    Raises ObjectDroppedError when the pressure center leaves the object.
+    """
+    status, n_done, ox, oy, oth, records = _run_kernel(state, obj, ds, n_max, stop_eps, record)
+    if status == _backend.STATUS_DROPPED:
+        raise ObjectDroppedError(n_done)
+    return replace(state, object_pose_w=PoseSE2(ox, oy, oth)), status, n_done, records
+
+
 def slide_step(state: ContactState, obj: ObjectModel, ds: float = DEFAULT_DS) -> ContactState:
     """Advance one sliding step; requires vibration on. Finger pose is fixed."""
     if not state.vibration_on:
         raise ValueError("slide_step requires vibration_on (sticking contact otherwise)")
     if ds <= 0.0:
         raise ValueError(f"ds must be positive, got {ds}")
-    status, n_done, ox, oy, oth, _ = _run_kernel(state, obj, ds, 1, -1.0, False)
-    if status == _backend.STATUS_DROPPED:
-        raise ObjectDroppedError(n_done)
-    return replace(state, object_pose_w=PoseSE2(ox, oy, oth))
+    return _slide(state, obj, ds, 1)[0]
 
 
 def vibration_pulse(state: ContactState, obj: ObjectModel, pulse: PulseSpec,
@@ -180,36 +189,27 @@ def vibration_pulse(state: ContactState, obj: ObjectModel, pulse: PulseSpec,
     if not state.vibration_on:
         point = TrajectoryPoint(0, state.finger_pose_w, state.object_pose_w, None, None, 0.0)
         return state, [point] if record else []
-    status, n_done, ox, oy, oth, records = _run_kernel(
-        state, obj, pulse.step_ds, pulse.n_steps, -1.0, record)
-    if status == _backend.STATUS_DROPPED:
-        raise ObjectDroppedError(n_done)
-    new_state = replace(state, object_pose_w=PoseSE2(ox, oy, oth))
+    new_state, _, _, records = _slide(state, obj, pulse.step_ds, pulse.n_steps, record=record)
     return new_state, _points_from_records(state, records)
 
 
 def rollout_to_rest(state: ContactState, obj: ObjectModel, ds: float = DEFAULT_DS,
-                    max_steps: int = 200_000, eps_rest: float = REST_EPS,
-                    record: bool = True) -> RolloutResult:
+                    max_steps: int = 200_000, record: bool = True) -> RolloutResult:
     """Slide until the center of mass hangs aligned below the contact.
 
-    Convergence means |x_c| < eps_rest with the center of mass below the
+    Convergence means |x_c| < REST_EPS with the center of mass below the
     pressure center; that is the stable branch of the gravity alignment.
     Starting above the contact, alignment errors grow instead and the
     rollout reports non-convergence at max_steps.
     """
     if not state.vibration_on:
         raise ValueError("rollout_to_rest requires vibration_on")
-    status, n_done, ox, oy, oth, records = _run_kernel(
-        state, obj, ds, max_steps, eps_rest, record)
-    if status == _backend.STATUS_DROPPED:
-        raise ObjectDroppedError(n_done)
-    final = replace(state, object_pose_w=PoseSE2(ox, oy, oth))
+    final, status, n_done, records = _slide(state, obj, ds, max_steps, REST_EPS, record)
     converged = status == _backend.STATUS_REST
     if not converged:
         # the stop test runs before each step, so a rollout that converges
         # exactly on its last step is only visible here
         pc = pressure_center_world(final)
         cx, cy = com_world(final.object_pose_w, obj)
-        converged = cy < pc[1] and abs(cx - pc[0]) < eps_rest
+        converged = cy < pc[1] and abs(cx - pc[0]) < REST_EPS
     return RolloutResult(final, _points_from_records(state, records), converged, n_done)

@@ -248,10 +248,6 @@ def pi_update(pi: PiState, observed_error: tuple[float, float],
 # plan execution
 
 
-def _belief_patch(nominal: ContactPatch, pi: PiState) -> ContactPatch:
-    return replace(nominal, pressure_center_offset=pi.pressure_center_estimate)
-
-
 def _predict_pulse(state: ContactState, obj: ObjectModel, ds: float, n_steps: int) -> PoseSE2:
     """Model rollout used as the PI reference for a commanded pulse."""
     _, _, ox, oy, oth, _ = _run_kernel(state, obj, ds, n_steps)
@@ -259,12 +255,14 @@ def _predict_pulse(state: ContactState, obj: ObjectModel, ds: float, n_steps: in
 
 
 _ERROR_GRID = [0.0005 * i for i in range(-10, 11)]
+# observation scales that weight position against angle in the fit
+_SIGMA_POS = 0.0015
+_SIGMA_THETA = 0.013
 
 
 def _pressure_error_from_pulse(belief: ContactState, obj: ObjectModel, ds: float,
-                               n_steps: int, predicted: PoseSE2, observed: PoseSE2,
-                               sigma_pos: float = 0.0015,
-                               sigma_theta: float = 0.013) -> float | None:
+                               n_steps: int, predicted: PoseSE2,
+                               observed: PoseSE2) -> float | None:
     """World-x pressure-center error that best explains one pulse.
 
     Replays the pulse through the model over a grid of candidate errors
@@ -294,8 +292,8 @@ def _pressure_error_from_pulse(belief: ContactState, obj: ObjectModel, ds: float
             _, _, x, y, theta, _ = rollout(*args)
             # re-wrap exactly as a PoseSE2 of the result would
             theta = wrap_angle(theta)
-        costs[err] = ((x - observed.x) ** 2 + (y - observed.y) ** 2) / sigma_pos ** 2 \
-            + wrap_angle(theta - observed.theta) ** 2 / sigma_theta ** 2
+        costs[err] = ((x - observed.x) ** 2 + (y - observed.y) ** 2) / _SIGMA_POS ** 2 \
+            + wrap_angle(theta - observed.theta) ** 2 / _SIGMA_THETA ** 2
     if not costs:
         return None
     best_err = min(costs, key=costs.get)
@@ -353,10 +351,6 @@ def _in_limits(theta: float, limits: tuple[float, float]) -> bool:
     return limits[0] <= theta <= limits[1]
 
 
-def _inset(limits: tuple[float, float], margin: float) -> tuple[float, float]:
-    return (limits[0] + margin, limits[1] - margin)
-
-
 def _clamp_target(target: float, limits: tuple[float, float], slack: float,
                   what: str) -> float:
     """Clamp a slightly out-of-window subgoal onto the window edge.
@@ -375,50 +369,62 @@ def _clamp_target(target: float, limits: tuple[float, float], slack: float,
         f"{what} needs finger orientation {target:.3f} outside limits {limits}")
 
 
-def _world_up_in_object(object_theta: float) -> tuple[float, float]:
-    return (math.sin(object_theta), math.cos(object_theta))
+def _lever(state: ContactState, obj: ObjectModel) -> tuple[float, float]:
+    """World vector from the pressure center to the center of mass."""
+    pc = pressure_center_world(state)
+    com = com_world(state.object_pose_w, obj)
+    return com[0] - pc[0], com[1] - pc[1]
 
 
-def _gamma_windows(t0: float, slope: float, limits: tuple[float, float],
-                   gmin: float, gmax: float) -> list[tuple[float, float]]:
-    """Lever angles gamma in [gmin, gmax] with wrap(t0 + slope*gamma) in limits."""
-    lo, hi = limits
-    out = []
-    for k in (-1, 0, 1):
-        a = (lo - t0 + 2.0 * math.pi * k) / slope
-        b = (hi - t0 + 2.0 * math.pi * k) / slope
-        g0, g1 = (a, b) if a <= b else (b, a)
-        g0, g1 = max(g0, gmin), min(g1, gmax)
-        if g0 <= g1:
-            out.append((g0, g1))
-    return out
+def _goal_met(rel: PoseSE2, goal: PoseSE2, config: PlannerConfig) -> bool:
+    """The relative pose rel lies within both contract radii of goal."""
+    return (math.hypot(rel.x - goal.x, rel.y - goal.y) < config.r_error
+            and abs(wrap_angle(rel.theta - goal.theta)) < config.r_theta_error)
+
+
+def _lever_windows(theta: float, bearing: float, e_theta: float, config: PlannerConfig):
+    """Yield (side, t0, slope, windows) for the below and above levers.
+
+    Stage 3 hangs the center of mass a lever angle gamma off vertical,
+    below or above the contact, on the side whose induced rotation
+    shrinks the orientation error e_theta. With the finger at theta and
+    the center of mass at world bearing `bearing` from the contact, that
+    needs the finger orientation wrap(t0 + slope*gamma). The target is
+    linear in gamma, so the orientation window maps to gamma intervals:
+    windows lists each (g0, g1) within [lever_angle_min, lever_angle_max]
+    whose targets stay inside the finger orientation limits.
+    """
+    lo, hi = config.finger_orientation_limits
+    s = 1.0 if e_theta >= 0.0 else -1.0
+    for side, base, slope in (("below", -math.pi / 2, -s), ("above", math.pi / 2, s)):
+        t0 = wrap_angle(theta + (base - bearing))
+        windows = []
+        for k in (-1, 0, 1):
+            a = (lo - t0 + 2.0 * math.pi * k) / slope
+            b = (hi - t0 + 2.0 * math.pi * k) / slope
+            g0, g1 = (a, b) if a <= b else (b, a)
+            g0, g1 = max(g0, config.lever_angle_min), min(g1, config.lever_angle_max)
+            if g0 <= g1:
+                windows.append((g0, g1))
+        yield side, t0, slope, windows
 
 
 def _stage3_candidates(state: ContactState, obj: ObjectModel, e_theta: float,
                        config: PlannerConfig, e_ref: float | None = None) -> dict[str, tuple[float, float]]:
     """Feasible lever placements per side: side -> (target_theta, gamma).
 
-    Stage 3 hangs the center of mass a lever angle gamma off vertical,
-    below or above the contact, on the side whose induced rotation
-    shrinks the orientation error e_theta. Below decays toward
-    alignment and above runs away from it, but their translation drifts
-    point opposite ways.
-
-    The finger target is linear in the lever angle, so the orientation
-    window maps to gamma intervals. Within a feasible interval the lever
-    angle is pushed toward the value that keeps the remaining rotation's
-    translation drift inside the budget (drift per radian is a3^2/|x_c|,
-    so bigger levers drift less), but never below the configured default
-    when that fits.
+    Below decays toward alignment and above runs away from it, but their
+    translation drifts point opposite ways. Within a feasible interval of
+    _lever_windows the lever angle is pushed toward the value that keeps
+    the remaining rotation's translation drift inside the budget (drift
+    per radian is a3^2/|x_c|, so bigger levers drift less), but never
+    below the configured default when that fits.
     """
-    pc = pressure_center_world(state)
-    com = com_world(state.object_pose_w, obj)
-    d = math.hypot(com[0] - pc[0], com[1] - pc[1])
+    dx, dy = _lever(state, obj)
+    d = math.hypot(dx, dy)
     if d < REST_EPS:
         raise SingularityError("no gravity lever: center of mass sits on the contact")
-    bearing = math.atan2(com[1] - pc[1], com[0] - pc[0])
     a3 = state.patch.torque_arm
-    s = 1.0 if e_theta >= 0.0 else -1.0
     # amortize the drift budget over the whole stage: the lever that keeps
     # the total stage rotation within budget is sized from the entry
     # residual, not the remaining one
@@ -427,11 +433,10 @@ def _stage3_candidates(state: ContactState, obj: ObjectModel, e_theta: float,
     gamma_want = max(config.lever_angle_stage3,
                      math.asin(min(1.0, want)))
     out = {}
-    for side, base, slope in (("below", -math.pi / 2, -s), ("above", math.pi / 2, s)):
-        t0 = wrap_angle(state.finger_pose_w.theta + (base - bearing))
+    for side, t0, slope, windows in _lever_windows(state.finger_pose_w.theta,
+                                                   math.atan2(dy, dx), e_theta, config):
         best = None
-        for g0, g1 in _gamma_windows(t0, slope, config.finger_orientation_limits,
-                                     config.lever_angle_min, config.lever_angle_max):
+        for g0, g1 in windows:
             g = min(max(gamma_want, g0), g1)
             if best is None or abs(g - gamma_want) < abs(best - gamma_want):
                 best = g
@@ -453,9 +458,7 @@ def _stage3_target(belief: ContactState, obj: ObjectModel, goal: PoseSE2,
     if not candidates:
         raise OrientationLimitError(
             "stage 3 lever placements all violate the finger orientation limits")
-    pc = pressure_center_world(belief)
-    com = com_world(belief.object_pose_w, obj)
-    d = math.hypot(com[0] - pc[0], com[1] - pc[1])
+    d = math.hypot(*_lever(belief, obj))
     a3 = belief.patch.torque_arm
     want_xc = a3 * a3 * abs(e_ref if e_ref is not None else e_theta) / config.stage3_drift_budget
 
@@ -466,8 +469,7 @@ def _stage3_target(belief: ContactState, obj: ObjectModel, goal: PoseSE2,
         t, gamma = candidates[side]
         meets_budget = d * math.sin(gamma) >= want_xc
         th_obj = belief.object_pose_w.theta + (t - belief.finger_pose_w.theta)
-        ux, uy = _world_up_in_object(th_obj)
-        aim = ux * to_goal[0] + uy * to_goal[1]
+        aim = math.sin(th_obj) * to_goal[0] + math.cos(th_obj) * to_goal[1]
         return (meets_budget, aim, math.sin(gamma) * d)
 
     side = max(candidates, key=score)
@@ -486,21 +488,19 @@ def check_reachability(finger_pose: PoseSE2, object_pose: PoseSE2,
     assumes the relative orientation only changes in stage 3).
     """
     limits = config.finger_orientation_limits
+    window = (limits[0] + config.reach_margin, limits[1] - config.reach_margin)
     obj = problem.obj
     goal = problem.goal_rel
     rel = relative_pose(finger_pose, object_pose)
     belief = ContactState(finger_pose, object_pose, problem.patch, False)
 
     # a goal that is already met needs no motion at all
-    if (math.hypot(rel.x - goal.x, rel.y - goal.y) < config.r_error
-            and abs(wrap_angle(rel.theta - goal.theta)) < config.r_theta_error):
+    if _goal_met(rel, goal, config):
         return
 
-    pc = pressure_center_world(belief)
-    com = com_world(object_pose, obj)
-    if math.hypot(com[0] - pc[0], com[1] - pc[1]) >= config.r_error:
+    if math.hypot(*_lever(belief, obj)) >= config.r_error:
         t1 = subgoal_centering(belief, obj)
-        if not _in_limits(t1, _inset(limits, config.reach_margin)):
+        if not _in_limits(t1, window):
             raise OrientationLimitError(
                 f"centering needs finger orientation {t1:.3f} outside limits {limits}")
 
@@ -525,7 +525,7 @@ def check_reachability(finger_pose: PoseSE2, object_pose: PoseSE2,
         drift = -1.5 * ovs * math.sin(psi) * climb / (a3 * a3)
         t2 = wrap_angle(math.pi / 2 - u2 + rel.theta)
         for t in (t2, wrap_angle(t2 + drift), wrap_angle(t2 + 0.5 * drift)):
-            if not _in_limits(t, _inset(limits, config.reach_margin)):
+            if not _in_limits(t, window):
                 raise OrientationLimitError(
                     f"positioning needs finger orientation {t:.3f} outside limits {limits}")
 
@@ -535,18 +535,6 @@ def check_reachability(finger_pose: PoseSE2, object_pose: PoseSE2,
     # theta_e = theta_o + rel_th)
     b3 = math.atan2(obj.com_offset[1] - goal.y, obj.com_offset[0] - goal.x)
     e0 = wrap_angle(rel.theta + drift - goal.theta)
-
-    def best_gamma(e: float) -> float | None:
-        s = 1.0 if e >= 0.0 else -1.0
-        rel_th = wrap_angle(goal.theta + e)
-        best = None
-        for base, slope in ((-math.pi / 2, -s), (math.pi / 2, s)):
-            t0 = wrap_angle(base - b3 + rel_th)
-            for _, g1 in _gamma_windows(t0, slope, limits,
-                                        config.lever_angle_min, config.lever_angle_max):
-                if best is None or g1 > best:
-                    best = g1
-        return best
 
     # sweep entry residuals across the drift uncertainty (from no settle
     # drift at all up to the padded estimate), shrinking toward zero
@@ -563,7 +551,9 @@ def check_reachability(finger_pose: PoseSE2, object_pose: PoseSE2,
     for e in residuals:
         if abs(e) < config.r_theta_error:
             continue
-        g = best_gamma(e)
+        # the widest feasible lever on either side
+        g = max((g1 for *_, windows in _lever_windows(wrap_angle(goal.theta + e), b3, e, config)
+                 for _, g1 in windows), default=None)
         if g is None:
             raise OrientationLimitError(
                 f"orientation stage has no feasible lever at residual {e:.3f} rad")
@@ -583,9 +573,10 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
     The environment owns the true plant; the planner only sees the exact
     finger pose, noisy object observations, and its own nominal models.
     Environment contract: finger_pose() -> PoseSE2, observe() -> PoseSE2,
-    reorient(target_theta), pulse(n_steps, step_ds) -> trajectory points
-    (an empty list when the env does not record; the plan's trajectory is
-    then empty too), and optionally true_object_pose() for error reporting.
+    true_object_pose() -> PoseSE2 (read only to report the final error),
+    reorient(target_theta), and pulse(n_steps, step_ds) -> trajectory
+    points (an empty list when the env does not record; the plan's
+    trajectory is then empty too).
     """
     config = config or PlannerConfig()
     obj, goal, nominal = scenario.obj, scenario.goal_rel, scenario.patch
@@ -599,8 +590,7 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
     check_reachability(env.finger_pose(), obs, scenario, config, capability=False)
 
     def _final_result() -> PlanResult:
-        true_obj = env.true_object_pose() if hasattr(env, "true_object_pose") else obs
-        rel = relative_pose(env.finger_pose(), true_obj)
+        rel = relative_pose(env.finger_pose(), env.true_object_pose())
         return PlanResult(
             actions=actions,
             trajectory=trajectory,
@@ -612,9 +602,7 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
         )
 
     # a goal already satisfied within both radii needs no actions at all
-    rel0 = relative_pose(env.finger_pose(), obs)
-    if (math.hypot(rel0.x - goal.x, rel0.y - goal.y) < config.r_error
-            and abs(wrap_angle(rel0.theta - goal.theta)) < config.r_theta_error):
+    if _goal_met(relative_pose(env.finger_pose(), obs), goal, config):
         return _final_result()
 
     # distrust of the pressure-center estimate, shrunk by consistent pulse
@@ -629,13 +617,12 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
     k_max = 1.0 / obj.weight ** 2
 
     def belief_state() -> ContactState:
-        return ContactState(env.finger_pose(), obs, _belief_patch(nominal, pi), False)
+        patch = replace(nominal, pressure_center_offset=pi.pressure_center_estimate)
+        return ContactState(env.finger_pose(), obs, patch, False)
 
     def residual(stage: int, belief: ContactState) -> float:
         if stage == 1:
-            pc = pressure_center_world(belief)
-            com = com_world(belief.object_pose_w, obj)
-            return math.hypot(com[0] - pc[0], com[1] - pc[1])
+            return math.hypot(*_lever(belief, obj))
         if stage == 2:
             goal_w = compose(belief.object_pose_w, goal)
             f = belief.finger_pose_w
@@ -683,14 +670,10 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
             # choose the subgoal orientation and pulse size from the belief
             if stage in (1, 2):
                 try:
-                    if stage == 1:
-                        target = _clamp_target(subgoal_centering(belief, obj),
-                                               config.finger_orientation_limits,
-                                               config.target_slack, "centering")
-                    else:
-                        target = _clamp_target(subgoal_positioning(belief, obj, goal),
-                                               config.finger_orientation_limits,
-                                               config.target_slack, "positioning")
+                    aim = (subgoal_centering(belief, obj) if stage == 1
+                           else subgoal_positioning(belief, obj, goal))
+                    target = _clamp_target(aim, config.finger_orientation_limits,
+                                           config.target_slack, STAGE_NAMES[stage])
                 except OrientationLimitError:
                     # an unclampable flip of the aim means the contact ended
                     # up past the stage's anchor point; settle for the
@@ -711,46 +694,40 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
             obs = rotate_pose_about(obs, belief.finger_pose_w.position, dphi)
             belief = belief_state()
 
-            a3n = nominal.torque_arm
-            unc_cap = max(0.002, config.stage2_swing_budget * a3n * a3n / bias_unc)
             ds_pulse = config.step_ds
-            if stage == 1:
-                # slide a bit past the center of mass: ending on the stable
-                # side (center of mass below the contact) keeps the stage-2
-                # settling swing small and decaying
-                dist = residual(1, belief)
-                travel = min(dist + config.stage1_overshoot * config.r_error,
-                             config.max_pulse_travel, unc_cap)
+            if stage in (1, 2):
+                a3n = nominal.torque_arm
+                unc_cap = max(0.002, config.stage2_swing_budget * a3n * a3n / bias_unc)
+                if stage == 1:
+                    # slide a bit past the center of mass: ending on the
+                    # stable side (center of mass below the contact) keeps
+                    # the stage-2 settling swing small and decaying
+                    travel = min(residual(1, belief) + config.stage1_overshoot * config.r_error,
+                                 config.max_pulse_travel, unc_cap)
+                else:
+                    # undershoot on purpose: overshooting past the goal leaves
+                    # it hanging below the contact, where no in-window
+                    # orientation can slide back
+                    guard = 0.5 * bias_unc + config.approach_guard
+                    travel = min(max(residual(2, belief) - guard, 0.5 * guard),
+                                 config.max_pulse_travel, unc_cap)
                 if travel < 2.5 * config.r_error:
                     # finer arc steps on the last leg: the landing quantum is
                     # one step of ds*k, which would otherwise dwarf the
                     # intended overshoot
                     ds_pulse = 0.25 * config.step_ds
-                n_steps = _size_pulse(belief, obj, config,
-                                      round(travel / (ds_pulse * k_max)),
-                                      stop_travel=travel, stop_rot=config.rotation_guard,
-                                      ds=ds_pulse)
-            elif stage == 2:
-                # undershoot on purpose: overshooting past the goal leaves it
-                # hanging below the contact, where no in-window orientation
-                # can slide back
-                guard = 0.5 * bias_unc + config.approach_guard
-                travel = min(max(residual(2, belief) - guard, 0.5 * guard),
-                             config.max_pulse_travel, unc_cap)
-                if travel < 2.5 * config.r_error:
-                    ds_pulse = 0.25 * config.step_ds
-                # sliding with the center of mass off the climb axis settles
-                # it back under the contact, wasting relative rotation; keep
-                # each leg short enough that the settle stays inside budget
-                pc = pressure_center_world(belief)
-                com = com_world(belief.object_pose_w, obj)
-                b = math.hypot(com[0] - pc[0], com[1] - pc[1])
-                mism = abs(wrap_angle(math.atan2(com[1] - pc[1], com[0] - pc[0]) + math.pi / 2))
-                waste_rate = b * math.sin(min(mism, math.pi / 2))
-                if waste_rate > 1e-9:
-                    travel = max(min(travel, config.stage2_swing_budget
-                                     * belief.patch.torque_arm ** 2 / waste_rate),
-                                 0.001)
+                if stage == 2:
+                    # sliding with the center of mass off the climb axis
+                    # settles it back under the contact, wasting relative
+                    # rotation; keep each leg short enough that the settle
+                    # stays inside budget
+                    dx, dy = _lever(belief, obj)
+                    mism = abs(wrap_angle(math.atan2(dy, dx) + math.pi / 2))
+                    waste_rate = math.hypot(dx, dy) * math.sin(min(mism, math.pi / 2))
+                    if waste_rate > 1e-9:
+                        travel = max(min(travel, config.stage2_swing_budget
+                                         * belief.patch.torque_arm ** 2 / waste_rate),
+                                     0.001)
                 n_steps = _size_pulse(belief, obj, config,
                                       round(travel / (ds_pulse * k_max)),
                                       stop_travel=travel, stop_rot=config.rotation_guard,

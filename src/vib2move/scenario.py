@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -46,6 +46,13 @@ def _number(value, key: str, positive: bool = False, integer: bool = False):
         kind = "integer" if integer else "number"
         what = "a positive" if positive else "an" if integer else "a finite"
         raise ScenarioError(f"{key} must be {what} {kind}, got {value!r}")
+    return value
+
+
+def _magnitude(value, key: str):
+    """_number that also rejects negatives: a sigma or an offset size."""
+    if _number(value, key) < 0:
+        raise ScenarioError(f"{key} must be a nonnegative number, got {value!r}")
     return value
 
 
@@ -91,11 +98,11 @@ class Scenario:
     patch: ContactPatch
     initial_rel: PoseSE2
     goal_rel: PoseSE2
-    finger_world: PoseSE2 = PoseSE2(0.0, 0.0, 0.0)
-    noise: NoiseModel = NoiseModel(0.0, 0.0)
-    perturbation: PerturbationModel = PerturbationModel()
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
-    name: str = "scenario"
+    finger_world: PoseSE2
+    noise: NoiseModel
+    perturbation: PerturbationModel
+    planner: PlannerConfig
+    name: str
 
     def problem(self) -> PlanningProblem:
         return PlanningProblem(self.goal_rel, self.obj, self.patch)
@@ -137,9 +144,9 @@ def _parse_noise(block: dict) -> NoiseModel:
     _check_keys(block, {"pos_sigma_mm", "angle_sigma_deg", "seed"}, "noise")
     return _build(
         NoiseModel, "noise",
-        pos_sigma=_number(block.get("pos_sigma_mm", 0.0), "noise.pos_sigma_mm") * MM,
-        angle_sigma=math.radians(_number(block.get("angle_sigma_deg", 0.0),
-                                         "noise.angle_sigma_deg")),
+        pos_sigma=_magnitude(block.get("pos_sigma_mm", 0.0), "noise.pos_sigma_mm") * MM,
+        angle_sigma=math.radians(_magnitude(block.get("angle_sigma_deg", 0.0),
+                                            "noise.angle_sigma_deg")),
         seed=_number(block.get("seed", 0), "noise.seed", integer=True),
     )
 
@@ -149,7 +156,7 @@ def _parse_perturbation(block: dict) -> PerturbationModel:
                         "pressure_bias_fixed_mm"}, "perturbation")
 
     def mm(key: str) -> float:
-        return _number(block.get(key, 0.0), f"perturbation.{key}") * MM
+        return _magnitude(block.get(key, 0.0), f"perturbation.{key}") * MM
 
     return PerturbationModel(
         pressure_bias_sigma=mm("pressure_bias_sigma_mm"),
@@ -158,39 +165,32 @@ def _parse_perturbation(block: dict) -> PerturbationModel:
     )
 
 
+# planner file key -> (PlannerConfig field, file-unit-to-SI scale); kp and
+# ki are the two pi_gains, finger_limits_rad the orientation limits
 _PLANNER_KEYS = {
     "r_error_mm": ("r_error", MM),
     "r_theta_error_deg": ("r_theta_error", math.pi / 180.0),
-    "kp": None,
-    "ki": None,
     "max_actions_per_stage": ("max_actions_per_stage", 1),
     "lever_angle_deg": ("lever_angle_stage3", math.pi / 180.0),
-    "finger_limits_rad": None,
     "step_ds": ("step_ds", 1),
 }
+_GAIN_KEYS = ("kp", "ki")
 
 
 def _parse_planner(block: dict) -> PlannerConfig:
-    _check_keys(block, set(_PLANNER_KEYS), "planner")
+    _check_keys(block, {*_PLANNER_KEYS, *_GAIN_KEYS, "finger_limits_rad"}, "planner")
     kwargs = {}
+    gains = list(PlannerConfig.pi_gains)
     for key, value in block.items():
+        where = f"planner.{key}"
         if key == "finger_limits_rad":
-            value = _numbers(value, "planner.finger_limits_rad", 2)
-        else:
-            value = _number(value, f"planner.{key}", integer=key == "max_actions_per_stage")
-        if key == "kp":
-            kwargs.setdefault("pi_gains", [0.5, 0.1])
-            kwargs["pi_gains"] = (value, kwargs["pi_gains"][1])
-        elif key == "ki":
-            g = kwargs.get("pi_gains", (0.5, 0.1))
-            kwargs["pi_gains"] = (g[0], value)
-        elif key == "finger_limits_rad":
-            kwargs["finger_orientation_limits"] = tuple(value)
+            kwargs["finger_orientation_limits"] = tuple(_numbers(value, where, 2))
+        elif key in _GAIN_KEYS:
+            gains[_GAIN_KEYS.index(key)] = _number(value, where)
+            kwargs["pi_gains"] = tuple(gains)
         else:
             attr, scale = _PLANNER_KEYS[key]
-            kwargs[attr] = value * scale if scale != 1 else value
-    if "pi_gains" in kwargs:
-        kwargs["pi_gains"] = tuple(kwargs["pi_gains"])
+            kwargs[attr] = _number(value, where, integer=key == "max_actions_per_stage") * scale
     return _build(PlannerConfig, "planner", **kwargs)
 
 
@@ -222,16 +222,24 @@ def scenario_to_doc(s: Scenario) -> dict:
             "pressure_bias_fixed_mm": s.perturbation.pressure_bias_fixed / MM,
         },
     }
+    planner = doc["planner"] = dict(zip(_GAIN_KEYS, s.planner.pi_gains))
+    planner["finger_limits_rad"] = list(s.planner.finger_orientation_limits)
+    for key, (attr, scale) in _PLANNER_KEYS.items():
+        value = getattr(s.planner, attr)
+        planner[key] = value if scale == 1 else value / scale
     return doc
+
+
+def _load_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_scenario(doc, name=path.stem)
+    return parse_scenario(_load_json(path), name=path.stem)
 
 
 def dump_scenario(s: Scenario, path: str | Path) -> None:
@@ -242,22 +250,18 @@ def dump_scenario(s: Scenario, path: str | Path) -> None:
 class EvalConfig:
     """Batch evaluation configuration for the evaluate subcommand."""
 
-    mode: str = "reconfigure"  # reconfigure | single_pulse | both
-    n_trials: int = 10
-    noise: NoiseModel = NoiseModel(0.0, 0.0)
-    perturbation: PerturbationModel = PerturbationModel()
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
-    objects: list | None = None  # None = bundled six-object set
-    pulse_steps: int = 25
-    step_ds: float = 1e-3
+    mode: str  # reconfigure | single_pulse | both
+    n_trials: int
+    noise: NoiseModel
+    perturbation: PerturbationModel
+    planner: PlannerConfig
+    objects: list | None  # None = bundled six-object set
+    pulse_steps: int
+    step_ds: float
 
 
 def load_eval_config(path: str | Path) -> EvalConfig:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = _load_json(Path(path))
     _check_keys(doc, {"mode", "n_trials", "noise", "perturbation", "planner",
                       "objects", "pulse_steps", "step_ds"}, "eval config")
     mode = doc.get("mode", "reconfigure")

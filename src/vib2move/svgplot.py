@@ -52,6 +52,19 @@ class SvgCanvas:
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_f(width)}" stroke-opacity="{_f(opacity)}"/>')
 
+    def colored_path(self, points, colors, width=2.0):
+        """Polyline through points, split into one piece per run of equal
+        colors; each piece starts where the previous one ended."""
+        run, color = [], None
+        for pt, c in zip(points, colors):
+            if c != color and run:
+                self.polyline(run, stroke=color, width=width)
+                run = run[-1:]
+            color = c
+            run.append(pt)
+        if run:
+            self.polyline(run, stroke=color, width=width)
+
     def circle(self, x, y, r_px, fill="#000000", stroke="none"):
         px, py = self.to_px(x, y)
         self.elements.append(
@@ -92,16 +105,8 @@ def plot_pulse_path(points, obj, out_path, title="slide path"):
     canvas = SvgCanvas()
     canvas.set_bounds(min(x for x, _ in xy), max(x for x, _ in xy),
                       min(y for _, y in xy), max(y for _, y in xy))
-    run, color = [], None
-    for p, pt in zip(points, xy):
-        c = CLASS_COLORS.get(p.motion_class.value if p.motion_class else "", "#999999")
-        if c != color and run:
-            canvas.polyline(run, stroke=color, width=2.0)
-            run = run[-1:]
-        color = c
-        run.append(pt)
-    if run and color:
-        canvas.polyline(run, stroke=color, width=2.0)
+    canvas.colored_path(xy, [CLASS_COLORS.get(p.motion_class.value if p.motion_class else "",
+                                              "#999999") for p in points])
     canvas.circle(*xy[0], 4, fill="#444444")
     canvas.text(canvas.margin, canvas.height - 14,
                 "pink: near-rotational, blue: translational", size=11)
@@ -114,42 +119,22 @@ STAGE_PATH_COLORS = {1: "#5b9bd5", 2: "#58b368", 3: "#e75480"}
 def plot_plan_object_frame(result, goal, out_path, title="finger path in object frame"):
     """Stage-colored finger path in the object frame, with the goal marked.
 
-    The trajectory records carry world poses per slide step; stage
-    membership of each step is recovered from the per-stage pulse lengths
-    in the action log.
+    The trajectory records carry world poses per slide step, and every
+    recorded pulse holds exactly its n_steps points, so the pulses of the
+    action log give each point's stage in order.
     """
     from .se2 import invert_point
 
     rel_path = [invert_point(p.object_pose, p.finger_pose.position) for p in result.trajectory]
     if not rel_path:
         return
-    steps_per_stage = {1: 0, 2: 0, 3: 0}
-    for a in result.actions:
-        if a.kind == "pulse" and a.n_steps:
-            steps_per_stage[a.stage] += a.n_steps
-    boundaries = []
-    acc = 0
-    for st in (1, 2, 3):
-        acc += steps_per_stage[st]
-        boundaries.append((st, acc))
-
     canvas = SvgCanvas()
     xs = [p[0] for p in rel_path] + [goal.x]
     ys = [p[1] for p in rel_path] + [goal.y]
     canvas.set_bounds(min(xs), max(xs), min(ys), max(ys))
 
-    run, cur_stage = [], 1
-    for i, pt in enumerate(rel_path):
-        while boundaries and i >= boundaries[0][1] and boundaries[0][0] < 3:
-            boundaries.pop(0)
-        st = boundaries[0][0] if boundaries else 3
-        if st != cur_stage and run:
-            canvas.polyline(run, stroke=STAGE_PATH_COLORS[cur_stage], width=2.0)
-            run = run[-1:]
-        cur_stage = st
-        run.append(pt)
-    if run:
-        canvas.polyline(run, stroke=STAGE_PATH_COLORS[cur_stage], width=2.0)
+    canvas.colored_path(rel_path, [STAGE_PATH_COLORS[a.stage] for a in result.actions
+                                   if a.kind == "pulse" for _ in range(a.n_steps)])
 
     canvas.circle(goal.x, goal.y, 5, fill="none", stroke="#cc0000")
     canvas.segment((goal.x, goal.y),

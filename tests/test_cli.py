@@ -11,14 +11,22 @@ from vib2move.cli import main
 from vib2move.scenario import bundled_path
 
 
+GOLDEN_TRIALS = Path(__file__).parent / "data" / "golden_eval_noisy_seed7_trials.csv"
+
+
 def run(args):
     return main([str(a) for a in args])
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestPredict:
     def test_writes_trajectory_and_plot(self, tmp_path):
         assert run(["predict", "--scenario", "demo_pulse", "--out", tmp_path / "o"]) == 0
-        rows = list(csv.reader(open(tmp_path / "o" / "trajectory.csv")))
+        rows = read_rows(tmp_path / "o" / "trajectory.csv")
         assert rows[0][0] == "step"
         assert rows[0][1:3] == ["finger_x_mm", "finger_y_mm"]
         assert len(rows) == 2301
@@ -27,12 +35,12 @@ class TestPredict:
     def test_zero_steps_gives_header_only(self, tmp_path):
         assert run(["predict", "--scenario", "demo_pulse", "--n-steps", 0,
                     "--out", tmp_path / "o"]) == 0
-        rows = list(csv.reader(open(tmp_path / "o" / "trajectory.csv")))
+        rows = read_rows(tmp_path / "o" / "trajectory.csv")
         assert len(rows) == 1
 
     def test_two_phase_classes_present(self, tmp_path):
         run(["predict", "--scenario", "demo_pulse", "--out", tmp_path / "o"])
-        rows = list(csv.reader(open(tmp_path / "o" / "trajectory.csv")))[1:]
+        rows = read_rows(tmp_path / "o" / "trajectory.csv")[1:]
         classes = [r[7] for r in rows]
         assert classes[0] == "near_rotational"
         assert classes[-1] == "translational"
@@ -69,7 +77,7 @@ class TestPlan:
         assert run(["plan", "--scenario", "demo_plan", "--out", tmp_path / "o"]) == 0
         actions = json.loads((tmp_path / "o" / "actions.json").read_text())
         pulse_steps = [a["n_steps"] for a in actions if a["kind"] == "pulse"]
-        rows = list(csv.reader(open(tmp_path / "o" / "trajectory.csv")))[1:]
+        rows = read_rows(tmp_path / "o" / "trajectory.csv")[1:]
         recorded = [n for rec, n in kernel_spy if rec]
         # only the plant pulses record; sizing, prediction and estimator
         # replays do not
@@ -88,16 +96,24 @@ class TestEvaluate:
     def test_noise_free_batch(self, tmp_path):
         assert run(["evaluate", "--config", "eval_noise_free", "--seed", 7,
                     "--out", tmp_path / "o"]) == 0
-        table = list(csv.reader(open(tmp_path / "o" / "table.csv")))
+        table = read_rows(tmp_path / "o" / "table.csv")
         assert table[0] == ["object", "surface", "size_mm", "weight_g", "rmse_pos_mm",
                             "rel_error_pct", "rmse_orient_deg", "success_rate"]
         assert len(table) == 8  # six objects + average + header
         assert table[-1][0] == "average"
         metrics = json.loads((tmp_path / "o" / "metrics.json").read_text())
         assert metrics["reconfigure"]["success_rate"] == 1.0
-        trials = list(csv.reader(open(tmp_path / "o" / "trials.csv")))
+        trials = read_rows(tmp_path / "o" / "trials.csv")
         assert len(trials) == 61
         assert (tmp_path / "o" / "error_distribution.svg").exists()
+
+    def test_noisy_trials_match_golden(self, tmp_path):
+        # pins the goal sampler, the reachability screen's rejections and
+        # every trial's outcome under noise and pressure bias
+        assert run(["evaluate", "--config", "eval_noisy", "--seed", 7,
+                    "--out", tmp_path / "o"]) == 0
+        got = (tmp_path / "o" / "trials.csv").read_text().splitlines()
+        assert got == GOLDEN_TRIALS.read_text().splitlines()
 
     def test_two_seeds_differ_structurally_same(self, tmp_path):
         run(["evaluate", "--config", "eval_noise_free", "--seed", 1, "--out", tmp_path / "a"])

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from vib2move.planner import PlannerConfig
 from vib2move.scenario import (
     ScenarioError,
     bundled_path,
@@ -15,6 +17,12 @@ from vib2move.scenario import (
 
 BUNDLED = ["demo_plan", "demo_pulse", "object1", "object2", "object3",
            "object4", "object5", "object6"]
+
+
+def assert_planner_close(got: PlannerConfig, want: PlannerConfig):
+    # approx: the mm and degree fields pass through a unit scale and back
+    for f in dataclasses.fields(PlannerConfig):
+        assert getattr(got, f.name) == pytest.approx(getattr(want, f.name), rel=1e-12), f.name
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -36,6 +44,22 @@ def test_round_trip(tmp_path, name):
     assert s2.goal_rel == s.goal_rel
     assert s2.noise == s.noise
     assert s2.perturbation == s.perturbation
+    assert_planner_close(s2.planner, s.planner)
+
+
+def test_round_trip_keeps_planner(tmp_path):
+    doc = json.loads(bundled_path("demo_plan").read_text())
+    doc["planner"] = {"r_error_mm": 7.0, "r_theta_error_deg": 0.8, "kp": 0.3, "ki": 0.05,
+                      "max_actions_per_stage": 50, "lever_angle_deg": 25.0,
+                      "finger_limits_rad": [-1.0, 1.3], "step_ds": 5e-4}
+    s = parse_scenario(doc)
+    assert s.planner != PlannerConfig()
+    out = tmp_path / "copy.json"
+    dump_scenario(s, out)
+    s2 = load_scenario(out)
+    assert s2.planner.r_error == pytest.approx(0.007)
+    assert s2.planner.max_actions_per_stage == 50
+    assert_planner_close(s2.planner, s.planner)
 
 
 def test_surface_units_are_mm_and_degrees():
@@ -119,7 +143,6 @@ def test_eval_config_rejects_unknown_mode(tmp_path):
     ("planner", "finger_limits_rad", [-1.0, True], r"planner\.finger_limits_rad\[1\]"),
     ("planner", "max_actions_per_stage", 2.5, r"planner\.max_actions_per_stage"),
     ("noise", "seed", True, r"noise\.seed"),
-    ("noise", "angle_sigma_deg", -1.0, "noise: noise sigmas must be nonnegative"),
     ("patch", "c", 1.5, r"patch: torque constant must be in \(0, 1\], got 1\.5"),
     ("patch", "r0_mm", 0, r"patch\.r0_mm must be a positive number, got 0"),
 ])
@@ -128,6 +151,22 @@ def test_bad_block_value_names_key(block, key, value, match):
     doc.setdefault(block, {})[key] = value
     with pytest.raises(ScenarioError, match=match):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("block, key", [
+    ("noise", "pos_sigma_mm"),
+    ("noise", "angle_sigma_deg"),
+    ("perturbation", "pressure_bias_sigma_mm"),
+    ("perturbation", "radius_jitter_sigma_mm"),
+    ("perturbation", "pressure_bias_fixed_mm"),
+])
+def test_negative_magnitude_names_key(block, key):
+    doc = json.loads(bundled_path("demo_plan").read_text())
+    doc.setdefault(block, {})[key] = -2
+    with pytest.raises(ScenarioError, match=rf"^{block}\.{key} must be a nonnegative number, got -2$"):
+        parse_scenario(doc)
+    doc[block][key] = 0
+    parse_scenario(doc)
 
 
 def test_eval_config_object_missing_key(tmp_path):
