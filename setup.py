@@ -32,13 +32,15 @@ native = Extension(
     ["src/vib2move/_native.c"],
     # keep float semantics identical to the pure-Python kernel so
     # trajectories are bit-reproducible across backends: no fast-math,
-    # no FMA contraction, and no cos+sin -> sincos fusion (glibc's
-    # sincos rounds differently than separate calls)
+    # no FMA contraction, no cos+sin -> sincos fusion (glibc's sincos
+    # rounds differently than separate calls), and no pow(x, 2.0) -> x * x
+    # (Python's x ** 2 calls libm pow, which is not correctly rounded)
     extra_compile_args=[
         "-O3",
         "-ffp-contract=off",
         "-fno-builtin-sin",
         "-fno-builtin-cos",
+        "-fno-builtin-pow",
     ],
 )
 

@@ -18,12 +18,14 @@ _forced = os.environ.get("VIB2MOVE_BACKEND", "").strip().lower()
 if _forced == "python":
     BACKEND = "python"
     rollout_core = _reference.rollout_core
+    rollout_grid = _reference.rollout_grid
 else:
     try:
         from . import _native
 
         BACKEND = "native"
         rollout_core = _native.rollout_core
+        rollout_grid = _native.rollout_grid
     except ImportError:
         if _forced == "native":
             raise ImportError(
@@ -32,3 +34,4 @@ else:
             )
         BACKEND = "python"
         rollout_core = _reference.rollout_core
+        rollout_grid = _reference.rollout_grid

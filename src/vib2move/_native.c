@@ -1,9 +1,11 @@
-/* Compiled rollout kernel; arithmetic twin of vib2move._reference.
+/* Compiled rollout kernels; arithmetic twin of vib2move._reference.
  *
- * Must stay operation-for-operation identical to the pure-Python kernel so
- * trajectories are bit-reproducible across backends. Build it as setup.py
- * does: no -ffast-math, -ffp-contract=off (no FMA contraction) and
- * -fno-builtin-sin/-fno-builtin-cos (no cos+sin -> sincos fusion).
+ * rollout_core and rollout_grid must stay operation-for-operation identical
+ * to the pure-Python kernels so results are bit-reproducible across
+ * backends. Build it as setup.py does: no -ffast-math, -ffp-contract=off
+ * (no FMA contraction), -fno-builtin-sin/-fno-builtin-cos (no cos+sin ->
+ * sincos fusion) and -fno-builtin-pow (pow(x, 2.0) stays the libm call
+ * that Python's x ** 2 makes, not x * x).
  *
  * cos/sin of the object angle are taken once per step: the drop check's
  * values at the end of a step are carried into the next step's top. */
@@ -16,6 +18,16 @@ static const double PI = 3.141592653589793;
 static const double TWO_PI = 6.283185307179586;
 
 enum { STATUS_BUDGET = 0, STATUS_REST = 1, STATUS_DROPPED = 2, STATUS_TARGET = 3 };
+
+/* vib2move.se2.wrap_angle: wrap to (-pi, pi] */
+static double
+wrap(double a)
+{
+    double r = fmod(a + PI, TWO_PI);
+    if (r <= 0.0)
+        r += TWO_PI;
+    return r - PI;
+}
 
 static PyObject *
 rollout_core(PyObject *self, PyObject *args)
@@ -83,11 +95,7 @@ rollout_core(PyObject *self, PyObject *args)
         double rx = ox - pcx, ry = oy - pcy;
         ox = pcx + cphi * rx - sphi * ry;
         oy = pcy + sphi * rx + cphi * ry + uy * h;
-        oth = oth + phi;
-        double r = fmod(oth + PI, TWO_PI);
-        if (r <= 0.0)
-            r += TWO_PI;
-        oth = r - PI;
+        oth = wrap(oth + phi);
         n_done = i + 1;
         if (record) {
             const double v[7] = {ox, oy, oth, uy, uw, k, xc};
@@ -126,14 +134,100 @@ rollout_core(PyObject *self, PyObject *args)
     return Py_BuildValue("ildddN", status, n_done, ox, oy, oth, records);
 }
 
+/* vib2move._reference.match_cost, with the scales already squared */
+static double
+match_cost(double x, double y, double th, double obs_x, double obs_y, double obs_th,
+           double sigma_pos_sq, double sigma_theta_sq)
+{
+    return (pow(x - obs_x, 2.0) + pow(y - obs_y, 2.0)) / sigma_pos_sq
+        + pow(wrap(th - obs_th), 2.0) / sigma_theta_sq;
+}
+
+static PyObject *
+rollout_grid(PyObject *self, PyObject *args)
+{
+    double ox, oy, oth, fx, fy, fth, cdx, cdy, hx, hy, mass, gravity, a3, ds;
+    double obs_x, obs_y, obs_th, sigma_pos, sigma_theta;
+    PyObject *offsets;
+    long n_max;
+    if (!PyArg_ParseTuple(args, "ddddddOddddddddlddddd:rollout_grid",
+                          &ox, &oy, &oth, &fx, &fy, &fth, &offsets, &cdx, &cdy,
+                          &hx, &hy, &mass, &gravity, &a3, &ds, &n_max,
+                          &obs_x, &obs_y, &obs_th, &sigma_pos, &sigma_theta))
+        return NULL;
+    PyObject *seq = PySequence_Fast(offsets, "offsets must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t n_lanes = PySequence_Fast_GET_SIZE(seq);
+    PyObject *costs = PyList_New(n_lanes);
+    if (costs == NULL) {
+        Py_DECREF(seq);
+        return NULL;
+    }
+
+    double cf = cos(fth), sf = sin(fth);
+    double mg = mass * gravity;
+    double a3sq = a3 * a3;
+    double wy = -mg, wy2 = wy * wy;
+    double sigma_pos_sq = pow(sigma_pos, 2.0), sigma_theta_sq = pow(sigma_theta, 2.0);
+    double co0 = cos(oth), so0 = sin(oth);
+    for (Py_ssize_t j = 0; j < n_lanes; j++) {
+        PyObject *pair = PySequence_Fast_GET_ITEM(seq, j);
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError, "offsets must hold (pdx, pdy) tuples");
+            goto fail;
+        }
+        double pdx = PyFloat_AsDouble(PyTuple_GET_ITEM(pair, 0));
+        double pdy = PyFloat_AsDouble(PyTuple_GET_ITEM(pair, 1));
+        if (PyErr_Occurred())
+            goto fail;
+        double pcx = fx + cf * pdx - sf * pdy;
+        double pcy = fy + sf * pdx + cf * pdy;
+        double x = ox, y = oy, th = oth, co = co0, so = so0;
+        for (long i = 0; i < n_max; i++) {
+            double wt = wy * (x + co * cdx - so * cdy - pcx);
+            double tw = wt / a3sq;
+            double n = sqrt(wy2 + tw * tw);
+            double tt = wt / a3;
+            double h = ds * (1.0 / (wy2 + tt * tt));
+            double phi = tw / n * h;
+            double cphi = cos(phi), sphi = sin(phi);
+            double rx = x - pcx, ry = y - pcy;
+            x = pcx + cphi * rx - sphi * ry;
+            y = pcy + sphi * rx + cphi * ry + wy / n * h;
+            th = wrap(th + phi);
+            co = cos(th);
+            so = sin(th);
+            double dx = pcx - x, dy = pcy - y;
+            double lx = co * dx + so * dy;
+            double ly = -so * dx + co * dy;
+            if (lx > hx || -lx > hx || ly > hy || -ly > hy)
+                break;
+        }
+        PyObject *cost = PyFloat_FromDouble(
+            match_cost(x, y, wrap(th), obs_x, obs_y, obs_th, sigma_pos_sq, sigma_theta_sq));
+        if (cost == NULL)
+            goto fail;
+        PyList_SET_ITEM(costs, j, cost);
+    }
+    Py_DECREF(seq);
+    return costs;
+
+fail:
+    Py_DECREF(seq);
+    Py_DECREF(costs);
+    return NULL;
+}
+
 static PyMethodDef methods[] = {
     {"rollout_core", rollout_core, METH_VARARGS, "See vib2move._reference.rollout_core."},
+    {"rollout_grid", rollout_grid, METH_VARARGS, "See vib2move._reference.rollout_grid."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "vib2move._native",
-    "Compiled rollout kernel; arithmetic twin of vib2move._reference.", -1, methods,
+    "Compiled rollout kernels; arithmetic twin of vib2move._reference.", -1, methods,
 };
 
 PyMODINIT_FUNC

@@ -1,8 +1,12 @@
-"""Pure-Python rollout kernel (reference implementation).
+"""Pure-Python rollout kernels (reference implementation).
+
+rollout_core advances one object pose through a sliding rollout.
+rollout_grid replays one pulse under several pressure-center offsets, as
+the planner's matched filter does, and returns one match_cost per offset.
 
 vib2move._native (src/vib2move/_native.c, a hand-written CPython
-extension) implements the same function with identical arithmetic and
-operation order, so both backends produce bit-identical trajectories.
+extension) implements the same two functions with identical arithmetic
+and operation order, so both backends produce bit-identical results.
 Keep the two in lockstep when editing.
 
 Both kernels compute cos/sin of the object angle once per step: the
@@ -13,6 +17,8 @@ is the same operation on the same operands as before, so no bit moves.
 """
 
 import math
+
+from .se2 import wrap_angle
 
 _TWO_PI = 2.0 * math.pi
 
@@ -131,3 +137,83 @@ def rollout_core(
             status = STATUS_TARGET
             break
     return status, n_done, ox, oy, oth, records
+
+
+def match_cost(x, y, theta, obs_x, obs_y, obs_theta, sigma_pos, sigma_theta):
+    """Matched-filter misfit of a predicted end pose against an observed one.
+
+    Squared position and wrapped angle errors, each over its observation
+    scale squared. _native.c spells each ** 2 as pow(x, 2.0), the libm
+    call CPython makes for it.
+    """
+    return ((x - obs_x) ** 2 + (y - obs_y) ** 2) / sigma_pos ** 2 \
+        + wrap_angle(theta - obs_theta) ** 2 / sigma_theta ** 2
+
+
+def rollout_grid(
+    ox, oy, oth,
+    fx, fy, fth,
+    offsets,
+    cdx, cdy,
+    hx, hy,
+    mass, gravity, a3,
+    ds, n_max,
+    obs_x, obs_y, obs_theta, sigma_pos, sigma_theta,
+):
+    """Replay one pulse under each pressure-center offset in offsets.
+
+    Arguments are rollout_core's, with the list of (pdx, pdy) tuples in
+    place of pdx, pdy, and the observed end pose and the observation
+    scales of match_cost in place of the stop and record arguments.
+    Each lane is rollout_core(..., pdx, pdy, ..., ds, n_max, -1.0, False)
+    step for step: no rest, target or record branch, but the drop check,
+    which ends the lane where the object left the footprint. Its end
+    angle is wrapped once more, as a PoseSE2 of rollout_core's result
+    would be, before it is scored.
+
+    Returns a list with match_cost of each lane's end pose, in the order
+    of offsets.
+    """
+    cos, sin, sqrt, fmod = math.cos, math.sin, math.sqrt, math.fmod
+    pi, two_pi = math.pi, _TWO_PI
+    cf = cos(fth)
+    sf = sin(fth)
+    mg = mass * gravity
+    a3sq = a3 * a3
+    wy = -mg
+    wy2 = wy * wy
+    co0 = cos(oth)
+    so0 = sin(oth)
+    costs = []
+    for pdx, pdy in offsets:
+        pcx = fx + cf * pdx - sf * pdy
+        pcy = fy + sf * pdx + cf * pdy
+        x, y, th, co, so = ox, oy, oth, co0, so0
+        for _ in range(n_max):
+            wt = wy * (x + co * cdx - so * cdy - pcx)
+            tw = wt / a3sq
+            n = sqrt(wy2 + tw * tw)
+            tt = wt / a3
+            h = ds * (1.0 / (wy2 + tt * tt))
+            phi = tw / n * h
+            cphi = cos(phi)
+            sphi = sin(phi)
+            rx = x - pcx
+            ry = y - pcy
+            x = pcx + cphi * rx - sphi * ry
+            y = pcy + sphi * rx + cphi * ry + wy / n * h
+            r = fmod(th + phi + pi, two_pi)
+            if r <= 0.0:
+                r += two_pi
+            th = r - pi
+            co = cos(th)
+            so = sin(th)
+            dx = pcx - x
+            dy = pcy - y
+            lx = co * dx + so * dy
+            ly = -so * dx + co * dy
+            if lx > hx or -lx > hx or ly > hy or -ly > hy:
+                break
+        costs.append(match_cost(x, y, wrap_angle(th), obs_x, obs_y, obs_theta,
+                                sigma_pos, sigma_theta))
+    return costs

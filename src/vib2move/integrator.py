@@ -110,19 +110,33 @@ def classify_motion(twist: TwistSE2, torque_arm: float, rho: float = NEAR_ROTATI
     return MotionClass.TRANSLATIONAL
 
 
+# names of the pose and offset entries that lead the kernel arguments
+_CHECKED_ARGS = (
+    "object_pose_w.x", "object_pose_w.y", "object_pose_w.theta",
+    "finger_pose_w.x", "finger_pose_w.y", "finger_pose_w.theta",
+    "patch.pressure_center_offset[0]", "patch.pressure_center_offset[1]",
+    "obj.com_offset[0]", "obj.com_offset[1]",
+)
+
+
 def _kernel_args(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
                  stop_eps: float = -1.0, record: bool = False,
                  stop_travel: float = -1.0, stop_rot: float = -1.0) -> list:
     """Positional arguments of _backend.rollout_core for a rollout from state.
 
     Returned as a list so a caller replaying one pulse under several
-    pressure-center offsets can swap entries 6 and 7 in place.
+    pressure-center offsets can replace entries 6 and 7.
+
+    Raises ValueError naming the first non-finite pose or offset value,
+    so no kernel sees one: on an infinite angle the Python kernel raises
+    inside math while the C kernel returns NaNs, and any other
+    non-finite value would come back as a NaN pose.
     """
     f = state.finger_pose_w
     o = state.object_pose_w
     pdx, pdy = state.patch.pressure_center_offset
     cdx, cdy = obj.com_offset
-    return [
+    args = [
         o.x, o.y, o.theta,
         f.x, f.y, f.theta,
         pdx, pdy,
@@ -131,6 +145,10 @@ def _kernel_args(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
         obj.mass, obj.gravity, state.patch.torque_arm,
         ds, n_max, stop_eps, record, stop_travel, stop_rot,
     ]
+    if not all(map(math.isfinite, args[:10])):
+        name, value = next((n, v) for n, v in zip(_CHECKED_ARGS, args) if not math.isfinite(v))
+        raise ValueError(f"{name} must be finite, got {value}")
+    return args
 
 
 def _run_kernel(state: ContactState, obj: ObjectModel, ds: float, n_max: int,

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import _backend
+from ._reference import match_cost
 from .contact import ContactPatch, ObjectModel
 from .integrator import (
     REST_EPS,
@@ -271,31 +272,37 @@ def _pressure_error_from_pulse(belief: ContactState, obj: ObjectModel, ds: float
     rotation matters: the twist saturates near pure rotation, where the
     telltale signature of a wrong pressure center is the object barely
     moving at all. Returns None for uninformative pulses.
+
+    The zero-error candidate is the caller's own prediction. Every other
+    candidate whose pressure center stays inside the patch is one lane of
+    a single _backend.rollout_grid call, which scores each replay with
+    the same match_cost. There is no sub-grid refinement: the float grid
+    keys are not evenly spaced, so no best candidate ever has both
+    neighbors at exactly one grid step.
     """
     th = belief.finger_pose_w.theta
     ex_f, ey_f = math.cos(th), -math.sin(th)
     pdx, pdy = belief.patch.pressure_center_offset
     r0 = belief.patch.r0
-    # the replays differ only in the pressure-center offset (kernel
-    # arguments 6 and 7), so build the argument list once and swap those
-    args = _kernel_args(belief, obj, ds, n_steps)
-    rollout = _backend.rollout_core
     costs = {}
+    offsets = []
     for err in _ERROR_GRID:
         if err == 0.0:
-            x, y, theta = predicted.x, predicted.y, predicted.theta
-        else:
-            offx, offy = pdx + ex_f * err, pdy + ey_f * err
-            if math.hypot(offx, offy) >= r0:
-                continue
-            args[6], args[7] = offx, offy
-            _, _, x, y, theta, _ = rollout(*args)
-            # re-wrap exactly as a PoseSE2 of the result would
-            theta = wrap_angle(theta)
-        costs[err] = ((x - observed.x) ** 2 + (y - observed.y) ** 2) / _SIGMA_POS ** 2 \
-            + wrap_angle(theta - observed.theta) ** 2 / _SIGMA_THETA ** 2
-    if not costs:
-        return None
+            costs[err] = match_cost(predicted.x, predicted.y, predicted.theta, observed.x,
+                                    observed.y, observed.theta, _SIGMA_POS, _SIGMA_THETA)
+            continue
+        off = (pdx + ex_f * err, pdy + ey_f * err)
+        if math.hypot(*off) < r0:
+            costs[err] = None  # filled in grid order from the replays below
+            offsets.append(off)
+    # the replays differ from the belief's rollout only in the
+    # pressure-center offset, kernel arguments 6 and 7
+    args = _kernel_args(belief, obj, ds, n_steps)
+    replays = iter(_backend.rollout_grid(*args[:6], offsets, *args[8:17], observed.x,
+                                         observed.y, observed.theta, _SIGMA_POS, _SIGMA_THETA))
+    for err in costs:
+        if err != 0.0:
+            costs[err] = next(replays)
     best_err = min(costs, key=costs.get)
     best_cost = costs[best_err]
     # confidence from how sharply the fit localizes the error: compare the
@@ -309,13 +316,6 @@ def _pressure_error_from_pulse(belief: ContactState, obj: ObjectModel, ds: float
     weight = min(1.0, localization / 4.0)
     if weight < 0.1:
         return None
-    # parabolic refinement between grid neighbors sharpens the estimate
-    # below the grid pitch at no extra rollout cost
-    lo, hi = costs.get(best_err - step), costs.get(best_err + step)
-    if lo is not None and hi is not None:
-        denom = lo - 2.0 * best_cost + hi
-        if denom > 1e-9:
-            best_err += 0.5 * step * (lo - hi) / denom
     return weight * best_err
 
 

@@ -3,16 +3,30 @@
 import collections
 import math
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
 from vib2move import _backend, _reference
 from vib2move._reference import STATUS_BUDGET, STATUS_DROPPED, STATUS_REST, STATUS_TARGET
+from vib2move.contact import ContactPatch, ObjectModel
+from vib2move.integrator import PulseSpec, _run_kernel, rollout_to_rest, slide_step, vibration_pulse
+from vib2move.planner import _pressure_error_from_pulse
+from vib2move.se2 import PoseSE2, wrap_angle
+
+from conftest import state_with_contact_at
 
 try:
     from vib2move import _native
 except ImportError:
     _native = None
+
+# every importable kernel module; a test over these runs the Python
+# kernel on every install and the compiled one wherever it is built
+KERNELS = [pytest.param(_reference, id="python")]
+if _native is not None:
+    KERNELS.append(pytest.param(_native, id="native"))
 
 
 def random_args(rng, n_steps, record):
@@ -47,6 +61,31 @@ def random_calls(rng, n_calls, n_steps):
 
 ALL_STATUSES = {STATUS_BUDGET, STATUS_REST, STATUS_DROPPED, STATUS_TARGET}
 
+_R0 = 0.015
+
+
+def random_grid_calls(rng, n_calls):
+    """rollout_grid argument lists: no lane, one lane or up to 20, some
+    offsets on the patch rim, n_max of 0, 1 or up to 400, and the
+    observation near the start pose or anywhere on the circle."""
+    for _ in range(n_calls):
+        n_max = rng.choice((0, 1, 1, rng.randint(2, 400), rng.randint(2, 400)))
+        core = random_args(rng, n_max, False)
+        offsets = []
+        for _ in range(rng.choice((0, 1, rng.randint(2, 20), rng.randint(2, 20)))):
+            rho = _R0 * (1.0 - 1e-12) if rng.random() < 0.25 else rng.uniform(0.0, _R0)
+            ang = rng.uniform(-math.pi, math.pi)
+            offsets.append((rho * math.cos(ang), rho * math.sin(ang)))
+        obs = (core[0] + rng.gauss(0.0, 0.01), core[1] + rng.gauss(0.0, 0.01),
+               rng.uniform(-math.pi, math.pi))
+        yield (*core[:6], offsets, *core[8:17], *obs, 0.0015, 0.013)
+
+
+def _lane_kind(status, n_done, n_max):
+    if status == STATUS_DROPPED:
+        return "drop_at_step_1" if n_done == 1 else "drop_mid_pulse"
+    return f"budget_{min(n_max, 2)}"
+
 
 def test_backend_is_selected():
     assert _backend.BACKEND in ("native", "python")
@@ -63,6 +102,69 @@ def test_kernels_bit_identical():
         assert repr(ref) == repr(nat)
         statuses[ref[0]] += 1
     assert set(statuses) == ALL_STATUSES
+    lanes = collections.Counter()
+    for args in random_grid_calls(rng, 300):
+        ref = _reference.rollout_grid(*args)
+        assert repr(ref) == repr(_native.rollout_grid(*args))
+        lanes[len(ref) if len(ref) < 2 else "many"] += 1
+    assert set(lanes) == {0, 1, "many"}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_grid_lanes_match_rollout_core(kernel):
+    """Each rollout_grid lane scores rollout_core(..., -1.0, False)'s end
+    pose, wrapped once more as a PoseSE2 would be, with match_cost."""
+    rng = random.Random(789)
+    seen = collections.Counter()
+    for args in random_grid_calls(rng, 300):
+        core = [*args[:6], 0.0, 0.0, *args[7:16], -1.0, False]
+        obs = args[16:]
+        costs = kernel.rollout_grid(*args)
+        assert len(costs) == len(args[6])
+        for (core[6], core[7]), cost in zip(args[6], costs):
+            status, n_done, x, y, th, _ = kernel.rollout_core(*core)
+            assert repr(cost) == repr(_reference.match_cost(x, y, wrap_angle(th), *obs))
+            seen[_lane_kind(status, n_done, args[15])] += 1
+        seen["no_lanes"] += not costs
+    assert set(seen) == {"drop_at_step_1", "drop_mid_pulse", "budget_0", "budget_1",
+                         "budget_2", "no_lanes"}
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_non_finite_input_rejected_on_every_kernel(kernel, monkeypatch):
+    """Every kernel entry rejects a non-finite pose or offset value by name
+    before the kernel runs, whichever kernel is selected."""
+    monkeypatch.setattr(_backend, "rollout_core", kernel.rollout_core)
+    monkeypatch.setattr(_backend, "rollout_grid", kernel.rollout_grid)
+    obj = ObjectModel(mass=0.09, extents=(0.09, 0.15))
+    patch = ContactPatch(r0=_R0)
+    state = state_with_contact_at(patch, (0.01, 0.02))
+    pose = state.object_pose_w
+    entries = [
+        slide_step,
+        lambda st, ob: vibration_pulse(st, ob, PulseSpec(1e-3, 5)),
+        lambda st, ob: rollout_to_rest(st, ob, max_steps=5),
+        lambda st, ob: _run_kernel(st, ob, 1e-3, 5),  # rollout_core
+        lambda st, ob: _pressure_error_from_pulse(st, ob, 1e-3, 5, pose, pose),  # rollout_grid
+    ]
+    # PoseSE2 wraps its angle and so refuses an infinite one; a state that
+    # holds one anyway gets it set behind the constructor's back
+    inf_angle = PoseSE2(pose.x, pose.y, 0.0)
+    object.__setattr__(inf_angle, "theta", math.inf)
+    cases = {
+        "object_pose_w.x": (replace(state, object_pose_w=PoseSE2(math.nan, pose.y, pose.theta)), obj),
+        "object_pose_w.y": (replace(state, object_pose_w=PoseSE2(pose.x, -math.inf, pose.theta)), obj),
+        "object_pose_w.theta": (replace(state, object_pose_w=inf_angle), obj),
+        "finger_pose_w.theta": (replace(state, finger_pose_w=PoseSE2(0.0, 0.0, math.nan)), obj),
+        "patch.pressure_center_offset[1]": (
+            replace(state, patch=ContactPatch(r0=_R0, pressure_center_offset=(0.0, math.nan))), obj),
+        "obj.com_offset[0]": (state, replace(obj, com_offset=(math.inf, 0.0))),
+    }
+    for name, (st, ob) in cases.items():
+        for call in entries:
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+                call(st, ob)
 
 
 _TWO_PI = 2.0 * math.pi

@@ -15,6 +15,7 @@ from vib2move.planner import (
     PlannerConfig,
     PlanningProblem,
     SingularityError,
+    _lever_windows,
     _predict_pulse,
     _pressure_error_from_pulse,
     _size_pulse,
@@ -27,7 +28,7 @@ from vib2move.planner import (
     subgoal_centering,
     subgoal_positioning,
 )
-from vib2move.integrator import _run_kernel
+from vib2move.integrator import _kernel_args, _run_kernel
 from vib2move.se2 import PoseSE2, relative_pose, transform_point, wrap_angle
 
 from conftest import state_with_contact_at
@@ -222,6 +223,25 @@ class TestPlanExecution:
         with pytest.raises(OrientationLimitError):
             check_reachability(state.finger_pose_w, state.object_pose_w, problem, config)
 
+    def test_reachability_credits_the_widest_lever(self):
+        # a goal near the stage-3 drift-capability bound
+        # goal_ray * sin(g) >= a3^2 |e| / 0.002: at the entry residual both
+        # lever sides are feasible, and only the wider lever passes
+        config = PlannerConfig(finger_orientation_limits=(-2.6, 2.5))
+        obj = ObjectModel(mass=0.09, extents=(0.09, 0.15))
+        patch = default_patch()
+        goal = PoseSE2(0.01, 0.0, 0.0)
+        state = state_from_relative(PoseSE2(-0.006, -0.028, -0.2), patch)
+        check_reachability(state.finger_pose_w, state.object_pose_w,
+                           PlanningProblem(goal, obj, patch), config)
+        e = wrap_angle(relative_pose(state.finger_pose_w, state.object_pose_w).theta - goal.theta)
+        levers = [g1 for *_, windows in _lever_windows(wrap_angle(goal.theta + e),
+                                                       math.atan2(-goal.y, -goal.x), e, config)
+                  for _, g1 in windows]
+        reach = [math.hypot(goal.x, goal.y) * math.sin(g) for g in (max(levers), min(levers))]
+        bound = patch.torque_arm ** 2 * abs(e) / 0.002
+        assert reach[0] >= bound > reach[1]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PlannerConfig(r_error=1e-6)
@@ -278,9 +298,9 @@ def _replace_based_pressure_error(belief, obj, ds, n_steps, predicted, observed,
 
 def test_pressure_error_matches_replace_based_estimator():
     rng = random.Random(2024)
-    seen = {"none": 0, "informative": 0, "outside_patch": 0}
+    seen = {"none": 0, "informative": 0, "outside_patch": 0, "dropping_lane": 0}
     r0 = 0.015
-    for _ in range(240):
+    for i in range(300):
         obj = ObjectModel(mass=rng.uniform(0.05, 0.1), extents=(0.09, 0.15),
                           com_offset=(rng.uniform(-0.01, 0.01), rng.uniform(-0.01, 0.01)))
         # pressure estimates up to near the patch rim, so that part of the
@@ -290,8 +310,11 @@ def test_pressure_error_matches_replace_based_estimator():
                              pressure_center_offset=(rho * math.cos(ang), rho * math.sin(ang)))
         finger = PoseSE2(rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02),
                          rng.uniform(-1.2, 1.5))
+        # the last 60 beliefs hold the contact near a side edge of the
+        # footprint, so that some replays drop the object mid-pulse
+        cx = rng.uniform(-0.03, 0.03) if i < 240 else rng.choice((-1, 1)) * rng.uniform(0.036, 0.044)
         belief = state_with_contact_at(
-            patch, (rng.uniform(-0.03, 0.03), rng.uniform(-0.055, 0.055)),
+            patch, (cx, rng.uniform(-0.055, 0.055)),
             theta_o=finger.theta + rng.uniform(-0.5, 0.5), vibration_on=False, finger=finger)
         ds = rng.choice((2.5e-4, 1e-3))
         n_steps = rng.randint(1, 60)
@@ -304,11 +327,37 @@ def test_pressure_error_matches_replace_based_estimator():
         assert repr(got) == repr(want)
         seen["none" if got is None else "informative"] += 1
         th = finger.theta
-        seen["outside_patch"] += any(
-            math.hypot(patch.pressure_center_offset[0] + math.cos(th) * e,
-                       patch.pressure_center_offset[1] - math.sin(th) * e) >= r0
-            for e in _ERROR_GRID)
+        offsets = [(patch.pressure_center_offset[0] + math.cos(th) * e,
+                    patch.pressure_center_offset[1] - math.sin(th) * e) for e in _ERROR_GRID]
+        seen["outside_patch"] += any(math.hypot(*off) >= r0 for off in offsets)
+        args = _kernel_args(belief, obj, ds, n_steps)
+        for e, (args[6], args[7]) in zip(_ERROR_GRID, offsets):
+            if (e != 0.0 and math.hypot(args[6], args[7]) < r0
+                    and _backend.rollout_core(*args)[0] == _backend.STATUS_DROPPED):
+                seen["dropping_lane"] += 1
+                break
     assert min(seen.values()) >= 10, seen
+
+
+def test_estimator_replays_in_one_grid_call(kernel_spy, monkeypatch):
+    real = _backend.rollout_grid
+    lanes = []
+
+    def grid_spy(*args):
+        lanes.append(len(args[6]))
+        return real(*args)
+
+    monkeypatch.setattr(_backend, "rollout_grid", grid_spy)
+    obj = ObjectModel(mass=0.09, extents=(0.09, 0.15), com_offset=(0.004, -0.002))
+    belief = state_with_contact_at(default_patch(), (0.01, -0.02), theta_o=0.3,
+                                   vibration_on=False, finger=PoseSE2(0.0, 0.0, 0.2))
+    predicted = _predict_pulse(belief, obj, 1e-3, 40)
+    kernel_spy.clear()
+    _pressure_error_from_pulse(belief, obj, 1e-3, 40, predicted,
+                               PoseSE2(predicted.x + 0.001, predicted.y, predicted.theta))
+    # a centered pressure estimate keeps all 20 nonzero candidates in the patch
+    assert lanes == [20]
+    assert kernel_spy == []
 
 
 def _uncapped_size_pulse(state, obj, config, stop_travel=-1.0, stop_rot=-1.0, ds=None):
