@@ -1,37 +1,31 @@
 """Kernel backend selection: compiled extension if available, else pure Python.
 
 Set VIB2MOVE_BACKEND=python or VIB2MOVE_BACKEND=native to force a choice
-(forcing native raises if the extension was not built).
+(forcing native raises if the extension was not built, or was built from
+older sources that lack one of the kernel entries).
 """
 
 import os
 
 from . import _reference
+from ._reference import STATUS_BUDGET, STATUS_DROPPED, STATUS_REST, STATUS_TARGET
 
-STATUS_BUDGET = _reference.STATUS_BUDGET
-STATUS_REST = _reference.STATUS_REST
-STATUS_DROPPED = _reference.STATUS_DROPPED
-STATUS_TARGET = _reference.STATUS_TARGET
 
-_forced = os.environ.get("VIB2MOVE_BACKEND", "").strip().lower()
-
-if _forced == "python":
-    BACKEND = "python"
-    rollout_core = _reference.rollout_core
-    rollout_grid = _reference.rollout_grid
-else:
-    try:
-        from . import _native
-
-        BACKEND = "native"
-        rollout_core = _native.rollout_core
-        rollout_grid = _native.rollout_grid
-    except ImportError:
-        if _forced == "native":
+def _select(forced: str):
+    if forced != "python":
+        try:
+            from . import _native
+        except ImportError:
+            _native = None
+        if all(hasattr(_native, name) for name in ("rollout_core", "rollout_grid")):
+            return "native", _native
+        if forced == "native":
             raise ImportError(
-                "VIB2MOVE_BACKEND=native but the compiled kernel is not built; "
-                "reinstall with a C compiler available"
-            )
-        BACKEND = "python"
-        rollout_core = _reference.rollout_core
-        rollout_grid = _reference.rollout_grid
+                "VIB2MOVE_BACKEND=native but the compiled kernel is missing or stale; "
+                "rebuild it with a C compiler available (python setup.py build_ext --inplace)")
+    return "python", _reference
+
+
+BACKEND, _kernel = _select(os.environ.get("VIB2MOVE_BACKEND", "").strip().lower())
+rollout_core = _kernel.rollout_core
+rollout_grid = _kernel.rollout_grid

@@ -1,11 +1,12 @@
 /* Compiled rollout kernels; arithmetic twin of vib2move._reference.
  *
- * rollout_core and rollout_grid must stay operation-for-operation identical
- * to the pure-Python kernels so results are bit-reproducible across
- * backends. Build it as setup.py does: no -ffast-math, -ffp-contract=off
- * (no FMA contraction), -fno-builtin-sin/-fno-builtin-cos (no cos+sin ->
- * sincos fusion) and -fno-builtin-pow (pow(x, 2.0) stays the libm call
- * that Python's x ** 2 makes, not x * x).
+ * rollout_core and each rollout_grid lane run the one step loop, slide(),
+ * which must stay operation-for-operation identical to the pure-Python
+ * kernels so results are bit-reproducible across backends. Build it as
+ * setup.py does: no -ffast-math, -ffp-contract=off (no FMA contraction),
+ * -fno-builtin-sin/-fno-builtin-cos (no cos+sin -> sincos fusion) and
+ * -fno-builtin-pow (pow(x, 2.0) stays the libm call that Python's x ** 2
+ * makes, not x * x).
  *
  * cos/sin of the object angle are taken once per step: the drop check's
  * values at the end of a step are carried into the next step's top. */
@@ -29,50 +30,37 @@ wrap(double a)
     return r - PI;
 }
 
-static PyObject *
-rollout_core(PyObject *self, PyObject *args)
+/* The slide loop both entries run: up to n_max steps from (*x, *y, *th)
+ * about the fixed pressure center (pcx, pcy). A negative stop_eps,
+ * stop_travel or stop_rot switches that stop off. With records non-NULL
+ * each step appends its (x, y, th, uy, uw, k, x_c) tuple. Returns the
+ * status, or -1 with an exception set; *x, *y, *th and *n_done hold where
+ * the loop ended. */
+static int
+slide(double pcx, double pcy, double cdx, double cdy, double hx, double hy,
+      double mg, double a3, double ds, long n_max, double stop_eps,
+      double stop_travel, double stop_rot, PyObject *records,
+      double *x, double *y, double *th, long *n_done)
 {
-    double ox, oy, oth, fx, fy, fth, pdx, pdy, cdx, cdy, hx, hy;
-    double mass, gravity, a3, ds, stop_eps;
-    double stop_travel = -1.0, stop_rot = -1.0;
-    long n_max;
-    int record;
-    if (!PyArg_ParseTuple(args, "ddddddddddddddddldp|dd:rollout_core",
-                          &ox, &oy, &oth, &fx, &fy, &fth, &pdx, &pdy, &cdx, &cdy,
-                          &hx, &hy, &mass, &gravity, &a3, &ds, &n_max, &stop_eps,
-                          &record, &stop_travel, &stop_rot))
-        return NULL;
-
-    double cf = cos(fth), sf = sin(fth);
-    double pcx = fx + cf * pdx - sf * pdy;
-    double pcy = fy + sf * pdx + cf * pdy;
-    double mg = mass * gravity;
-    double a3sq = a3 * a3;
+    double ox = *x, oy = *y, oth = *th;
+    double wy = -mg, wy2 = wy * wy, a3sq = a3 * a3;
     double travel = 0.0, rot = 0.0;
-    long n_done = 0;
     int status = STATUS_BUDGET;
-    PyObject *records = PyList_New(0);
-    if (records == NULL)
-        return NULL;
-
+    long done = 0;
     double co = cos(oth), so = sin(oth);
     for (long i = 0; i < n_max; i++) {
-        double comx = ox + co * cdx - so * cdy;
-        double comy = oy + so * cdx + co * cdy;
-        double xc = comx - pcx;
-        if (stop_eps > 0.0 && comy < pcy && fabs(xc) < stop_eps) {
+        double xc = ox + co * cdx - so * cdy - pcx;
+        if (stop_eps > 0.0 && oy + so * cdx + co * cdy < pcy && fabs(xc) < stop_eps) {
             status = STATUS_REST;
             break;
         }
-        double wy = -mg;
-        double wt = -mg * xc;
-        double ty = wy;
+        double wt = wy * xc;
         double tw = wt / a3sq;
-        double n = sqrt(ty * ty + tw * tw);
-        double uy = ty / n;
+        double n = sqrt(wy2 + tw * tw);
+        double uy = wy / n;
         double uw = tw / n;
         double tt = wt / a3;
-        double k = 1.0 / (wy * wy + tt * tt);
+        double k = 1.0 / (wy2 + tt * tt);
         double h = ds * k;
         double phi = uw * h;
         /* predictive stop: do not take a step that would overshoot a stop
@@ -96,8 +84,8 @@ rollout_core(PyObject *self, PyObject *args)
         ox = pcx + cphi * rx - sphi * ry;
         oy = pcy + sphi * rx + cphi * ry + uy * h;
         oth = wrap(oth + phi);
-        n_done = i + 1;
-        if (record) {
+        done = i + 1;
+        if (records != NULL) {
             const double v[7] = {ox, oy, oth, uy, uw, k, xc};
             PyObject *rec = PyTuple_New(7);
             for (Py_ssize_t j = 0; rec != NULL && j < 7; j++) {
@@ -109,10 +97,8 @@ rollout_core(PyObject *self, PyObject *args)
             }
             int failed = rec == NULL || PyList_Append(records, rec) < 0;
             Py_XDECREF(rec);
-            if (failed) {
-                Py_DECREF(records);
-                return NULL;
-            }
+            if (failed)
+                return -1;
         }
         /* also the next step's angle terms */
         co = cos(oth);
@@ -130,6 +116,37 @@ rollout_core(PyObject *self, PyObject *args)
             status = STATUS_TARGET;
             break;
         }
+    }
+    *x = ox;
+    *y = oy;
+    *th = oth;
+    *n_done = done;
+    return status;
+}
+
+static PyObject *
+rollout_core(PyObject *self, PyObject *args)
+{
+    double ox, oy, oth, fx, fy, fth, pdx, pdy, cdx, cdy, hx, hy;
+    double mass, gravity, a3, ds, stop_eps;
+    double stop_travel = -1.0, stop_rot = -1.0;
+    long n_max, n_done;
+    int record;
+    if (!PyArg_ParseTuple(args, "ddddddddddddddddldp|dd:rollout_core",
+                          &ox, &oy, &oth, &fx, &fy, &fth, &pdx, &pdy, &cdx, &cdy,
+                          &hx, &hy, &mass, &gravity, &a3, &ds, &n_max, &stop_eps,
+                          &record, &stop_travel, &stop_rot))
+        return NULL;
+    PyObject *records = PyList_New(0);
+    if (records == NULL)
+        return NULL;
+    double cf = cos(fth), sf = sin(fth);
+    int status = slide(fx + cf * pdx - sf * pdy, fy + sf * pdx + cf * pdy, cdx, cdy, hx, hy,
+                       mass * gravity, a3, ds, n_max, stop_eps, stop_travel, stop_rot,
+                       record ? records : NULL, &ox, &oy, &oth, &n_done);
+    if (status < 0) {
+        Py_DECREF(records);
+        return NULL;
     }
     return Py_BuildValue("ildddN", status, n_done, ox, oy, oth, records);
 }
@@ -149,7 +166,7 @@ rollout_grid(PyObject *self, PyObject *args)
     double ox, oy, oth, fx, fy, fth, cdx, cdy, hx, hy, mass, gravity, a3, ds;
     double obs_x, obs_y, obs_th, sigma_pos, sigma_theta;
     PyObject *offsets;
-    long n_max;
+    long n_max, n_done;
     if (!PyArg_ParseTuple(args, "ddddddOddddddddlddddd:rollout_grid",
                           &ox, &oy, &oth, &fx, &fy, &fth, &offsets, &cdx, &cdy,
                           &hx, &hy, &mass, &gravity, &a3, &ds, &n_max,
@@ -166,11 +183,7 @@ rollout_grid(PyObject *self, PyObject *args)
     }
 
     double cf = cos(fth), sf = sin(fth);
-    double mg = mass * gravity;
-    double a3sq = a3 * a3;
-    double wy = -mg, wy2 = wy * wy;
     double sigma_pos_sq = pow(sigma_pos, 2.0), sigma_theta_sq = pow(sigma_theta, 2.0);
-    double co0 = cos(oth), so0 = sin(oth);
     for (Py_ssize_t j = 0; j < n_lanes; j++) {
         PyObject *pair = PySequence_Fast_GET_ITEM(seq, j);
         if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
@@ -181,29 +194,9 @@ rollout_grid(PyObject *self, PyObject *args)
         double pdy = PyFloat_AsDouble(PyTuple_GET_ITEM(pair, 1));
         if (PyErr_Occurred())
             goto fail;
-        double pcx = fx + cf * pdx - sf * pdy;
-        double pcy = fy + sf * pdx + cf * pdy;
-        double x = ox, y = oy, th = oth, co = co0, so = so0;
-        for (long i = 0; i < n_max; i++) {
-            double wt = wy * (x + co * cdx - so * cdy - pcx);
-            double tw = wt / a3sq;
-            double n = sqrt(wy2 + tw * tw);
-            double tt = wt / a3;
-            double h = ds * (1.0 / (wy2 + tt * tt));
-            double phi = tw / n * h;
-            double cphi = cos(phi), sphi = sin(phi);
-            double rx = x - pcx, ry = y - pcy;
-            x = pcx + cphi * rx - sphi * ry;
-            y = pcy + sphi * rx + cphi * ry + wy / n * h;
-            th = wrap(th + phi);
-            co = cos(th);
-            so = sin(th);
-            double dx = pcx - x, dy = pcy - y;
-            double lx = co * dx + so * dy;
-            double ly = -so * dx + co * dy;
-            if (lx > hx || -lx > hx || ly > hy || -ly > hy)
-                break;
-        }
+        double x = ox, y = oy, th = oth;
+        slide(fx + cf * pdx - sf * pdy, fy + sf * pdx + cf * pdy, cdx, cdy, hx, hy,
+              mass * gravity, a3, ds, n_max, -1.0, -1.0, -1.0, NULL, &x, &y, &th, &n_done);
         PyObject *cost = PyFloat_FromDouble(
             match_cost(x, y, wrap(th), obs_x, obs_y, obs_th, sigma_pos_sq, sigma_theta_sq));
         if (cost == NULL)

@@ -1,13 +1,16 @@
 """Pure-Python rollout kernels (reference implementation).
 
-rollout_core advances one object pose through a sliding rollout.
-rollout_grid replays one pulse under several pressure-center offsets, as
-the planner's matched filter does, and returns one match_cost per offset.
+rollout_core advances one object pose through a sliding rollout; each
+step is the contact model's step inlined (contact.motion_direction and
+ls_scale at the gravity balance wrench, moved as se2.apply_twist moves a
+pose), which a test pins bit for bit. rollout_grid replays one pulse
+under several pressure-center offsets, as the planner's matched filter
+does, and returns one match_cost per offset.
 
 vib2move._native (src/vib2move/_native.c, a hand-written CPython
-extension) implements the same two functions with identical arithmetic
-and operation order, so both backends produce bit-identical results.
-Keep the two in lockstep when editing.
+extension) runs both functions on one shared step loop with identical
+arithmetic and operation order, so both backends produce bit-identical
+results. Keep the two in lockstep when editing.
 
 Both kernels compute cos/sin of the object angle once per step: the
 values taken at the end of a step for the drop check are exactly the

@@ -89,6 +89,9 @@ def _actions_doc(result):
 
 
 def cmd_predict(args) -> int:
+    if not 0.0 < args.ds < math.inf:
+        log.error("--ds must be a finite positive number, got %s", args.ds)
+        return 1
     scenario = load_scenario(_resolve_scenario(args.scenario))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -104,7 +107,7 @@ def cmd_predict(args) -> int:
             return 1
     write_trajectory_csv(points, out / "trajectory.csv")
     if points:
-        plot_pulse_path(points, scenario.obj, out / "path.svg",
+        plot_pulse_path(points, out / "path.svg",
                         title=f"{scenario.name}: single pulse")
     log.info("wrote %d trajectory rows to %s", len(points), out / "trajectory.csv")
     return 0

@@ -122,17 +122,17 @@ def balance_wrench(obj: ObjectModel, x_c: float) -> Wrench2D:
     return Wrench2D(0.0, -w, -w * x_c)
 
 
-def motion_direction(ls: LimitSurface, w: Wrench2D, char_length: float = 1.0) -> TwistSE2:
+def motion_direction(ls: LimitSurface, w: Wrench2D) -> TwistSE2:
     """Unit object twist under slip, parallel to the surface normal A w.
 
     Expressed at the pressure center; describes the object's motion
-    relative to the fixed finger. Normalized to unit magnitude under the
-    (vx, vy, L*omega) norm with L = char_length.
+    relative to the fixed finger. Normalized to unit Euclidean magnitude
+    of (vx, vy, omega).
     """
     if w.fx == 0.0 and w.fy == 0.0 and w.tau == 0.0:
         raise ZeroWrenchError("motion direction is undefined for a zero wrench")
     nx, ny, nt = ls.normal(w)
-    return unit_twist(TwistSE2(nx, ny, nt), char_length)
+    return unit_twist(TwistSE2(nx, ny, nt))
 
 
 def ls_scale(ls: LimitSurface, w: Wrench2D) -> float:

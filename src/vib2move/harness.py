@@ -93,8 +93,8 @@ class PlantEnv:
     Holds the true state (with the possibly perturbed patch), enforces the
     finger orientation limits like the robot would (by default the
     PlannerConfig window), serves noisy observations and, for scoring
-    only, the true object pose. A per-action trace of true relative poses
-    is kept so tests can assert the primitive contracts on every action.
+    only, the true object pose. n_actions counts the observe, reorient
+    and pulse calls that completed, one per action a plan logs.
 
     pulse() returns the per-step trajectory points only when the env was
     built with record=True; otherwise it returns an empty list, which is
@@ -111,12 +111,13 @@ class PlantEnv:
         self.rng = rng if rng is not None else (noise.rng() if noise else random.Random(0))
         self.orientation_limits = orientation_limits
         self.record = record
-        self.trace: list[dict] = []
+        self.n_actions = 0
 
     def finger_pose(self) -> PoseSE2:
         return self.state.finger_pose_w
 
     def observe(self) -> PoseSE2:
+        self.n_actions += 1
         true = self.state.object_pose_w
         if self.noise is None or (self.noise.pos_sigma == 0.0 and self.noise.angle_sigma == 0.0):
             return true
@@ -129,25 +130,15 @@ class PlantEnv:
         return relative_pose(self.state.finger_pose_w, self.state.object_pose_w)
 
     def reorient(self, target_theta: float) -> None:
-        before = self.true_relative_pose()
         self.state = primitive_reorient(self.state, target_theta, self.orientation_limits)
-        self.trace.append({
-            "kind": "reorient",
-            "rel_before": before,
-            "rel_after": self.true_relative_pose(),
-        })
+        self.n_actions += 1
 
     def pulse(self, n_steps: int, step_ds: float):
-        finger_before = self.state.finger_pose_w
         live = replace(self.state, vibration_on=True)
         new_state, points = vibration_pulse(live, self.obj, PulseSpec(step_ds, n_steps),
                                             record=self.record)
         self.state = replace(new_state, vibration_on=False)
-        self.trace.append({
-            "kind": "pulse",
-            "finger_before": finger_before,
-            "finger_after": self.state.finger_pose_w,
-        })
+        self.n_actions += 1
         return points
 
 
@@ -407,12 +398,12 @@ def run_reconfiguration_eval(objects: list[dict] | None = None,
                     index, entry["name"], goal, False,
                     math.hypot(rel.x - goal.x, rel.y - goal.y),
                     abs(wrap_angle(rel.theta - goal.theta)),
-                    len(env.trace), failure=f"{type(exc).__name__}: {exc}"))
+                    env.n_actions, failure=f"{type(exc).__name__}: {exc}"))
                 index += 1
                 continue
             obj_trials.append(TrialRecord(
                 index, entry["name"], goal, True,
-                result.final_error[0], result.final_error[1], len(result.actions)))
+                result.final_error[0], result.final_error[1], env.n_actions))
             index += 1
         per_object[entry["name"]] = _summarize(obj_trials, max(obj.extents))
         per_object[entry["name"]].update(

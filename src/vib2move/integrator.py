@@ -57,8 +57,8 @@ class PulseSpec:
     n_steps: int = 1
 
     def __post_init__(self):
-        if self.step_ds <= 0.0:
-            raise ValueError(f"step_ds must be positive, got {self.step_ds}")
+        if not 0.0 < self.step_ds < math.inf:
+            raise ValueError(f"step_ds must be finite and positive, got {self.step_ds}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
 
@@ -98,14 +98,14 @@ def lever_x(state: ContactState, obj: ObjectModel) -> float:
     return com_world(state.object_pose_w, obj)[0] - pressure_center_world(state)[0]
 
 
-def classify_motion(twist: TwistSE2, torque_arm: float, rho: float = NEAR_ROTATION_THRESHOLD) -> MotionClass:
+def classify_motion(twist: TwistSE2, torque_arm: float) -> MotionClass:
     """Label a unit twist by its dominant character.
 
     Near-rotational when the rotation rate, weighted by the patch torque
-    arm r0*c, exceeds rho times the translation speed.
+    arm r0*c, exceeds NEAR_ROTATION_THRESHOLD times the translation speed.
     """
     lin = math.hypot(twist.vx, twist.vy)
-    if abs(twist.omega) * torque_arm > rho * lin:
+    if abs(twist.omega) * torque_arm > NEAR_ROTATION_THRESHOLD * lin:
         return MotionClass.NEAR_ROTATIONAL
     return MotionClass.TRANSLATIONAL
 
@@ -128,9 +128,10 @@ def _kernel_args(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
     pressure-center offsets can replace entries 6 and 7.
 
     Raises ValueError naming the first non-finite pose or offset value,
-    so no kernel sees one: on an infinite angle the Python kernel raises
-    inside math while the C kernel returns NaNs, and any other
-    non-finite value would come back as a NaN pose.
+    or a ds that is not finite and positive, so no kernel sees one: on an
+    infinite angle the Python kernel raises inside math while the C
+    kernel returns NaNs, and any other non-finite value would come back
+    as a NaN pose.
     """
     f = state.finger_pose_w
     o = state.object_pose_w
@@ -148,6 +149,8 @@ def _kernel_args(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
     if not all(map(math.isfinite, args[:10])):
         name, value = next((n, v) for n, v in zip(_CHECKED_ARGS, args) if not math.isfinite(v))
         raise ValueError(f"{name} must be finite, got {value}")
+    if not 0.0 < ds < math.inf:
+        raise ValueError(f"ds must be finite and positive, got {ds}")
     return args
 
 
@@ -158,13 +161,13 @@ def _run_kernel(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
                                                stop_travel, stop_rot))
 
 
-def _points_from_records(state: ContactState, records, start_index: int = 1) -> list[TrajectoryPoint]:
+def _points_from_records(state: ContactState, records) -> list[TrajectoryPoint]:
     arm = state.patch.torque_arm
     points = []
-    for j, (ox, oy, oth, uy, uw, k, _xc) in enumerate(records):
+    for j, (ox, oy, oth, uy, uw, k, _xc) in enumerate(records, start=1):
         twist = TwistSE2(0.0, uy, uw)
         points.append(TrajectoryPoint(
-            step_index=start_index + j,
+            step_index=j,
             finger_pose=state.finger_pose_w,
             object_pose=PoseSE2(ox, oy, oth),
             twist=twist,
@@ -190,8 +193,6 @@ def slide_step(state: ContactState, obj: ObjectModel, ds: float = DEFAULT_DS) ->
     """Advance one sliding step; requires vibration on. Finger pose is fixed."""
     if not state.vibration_on:
         raise ValueError("slide_step requires vibration_on (sticking contact otherwise)")
-    if ds <= 0.0:
-        raise ValueError(f"ds must be positive, got {ds}")
     return _slide(state, obj, ds, 1)[0]
 
 

@@ -154,7 +154,6 @@ class PlanResult:
     final_error: tuple[float, float]
     stage_logs: dict[int, StageLog]
     final_relative_pose: PoseSE2
-    pressure_center_estimate: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -410,7 +409,7 @@ def _lever_windows(theta: float, bearing: float, e_theta: float, config: Planner
 
 
 def _stage3_candidates(state: ContactState, obj: ObjectModel, e_theta: float,
-                       config: PlannerConfig, e_ref: float | None = None) -> dict[str, tuple[float, float]]:
+                       config: PlannerConfig, e_ref: float) -> dict[str, tuple[float, float]]:
     """Feasible lever placements per side: side -> (target_theta, gamma).
 
     Below decays toward alignment and above runs away from it, but their
@@ -428,8 +427,7 @@ def _stage3_candidates(state: ContactState, obj: ObjectModel, e_theta: float,
     # amortize the drift budget over the whole stage: the lever that keeps
     # the total stage rotation within budget is sized from the entry
     # residual, not the remaining one
-    e_amort = e_ref if e_ref is not None else e_theta
-    want = a3 * a3 * abs(e_amort) / (d * config.stage3_drift_budget)
+    want = a3 * a3 * abs(e_ref) / (d * config.stage3_drift_budget)
     gamma_want = max(config.lever_angle_stage3,
                      math.asin(min(1.0, want)))
     out = {}
@@ -447,7 +445,7 @@ def _stage3_candidates(state: ContactState, obj: ObjectModel, e_theta: float,
 
 def _stage3_target(belief: ContactState, obj: ObjectModel, goal: PoseSE2,
                    config: PlannerConfig, e_theta: float,
-                   e_ref: float | None = None) -> tuple[float, float, str]:
+                   e_ref: float) -> tuple[float, float, str]:
     """Pick the stage-3 lever placement.
 
     Among the feasible below/above placements, prefer one that meets the
@@ -460,7 +458,7 @@ def _stage3_target(belief: ContactState, obj: ObjectModel, goal: PoseSE2,
             "stage 3 lever placements all violate the finger orientation limits")
     d = math.hypot(*_lever(belief, obj))
     a3 = belief.patch.torque_arm
-    want_xc = a3 * a3 * abs(e_ref if e_ref is not None else e_theta) / config.stage3_drift_budget
+    want_xc = a3 * a3 * abs(e_ref) / config.stage3_drift_budget
 
     rel_f = invert_point(belief.object_pose_w, belief.finger_pose_w.position)
     to_goal = (goal.x - rel_f[0], goal.y - rel_f[1])
@@ -598,7 +596,6 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
                          abs(wrap_angle(rel.theta - goal.theta))),
             stage_logs=stage_logs,
             final_relative_pose=rel,
-            pressure_center_estimate=pi.pressure_center_estimate,
         )
 
     # a goal already satisfied within both radii needs no actions at all

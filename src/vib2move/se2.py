@@ -55,9 +55,6 @@ class Wrench2D:
     tau: float = 0.0
 
 
-IDENTITY = PoseSE2(0.0, 0.0, 0.0)
-
-
 def compose(a: PoseSE2, b: PoseSE2) -> PoseSE2:
     """Group composition a * b (apply b in the frame of a)."""
     ca, sa = math.cos(a.theta), math.sin(a.theta)
@@ -112,19 +109,15 @@ def apply_twist(pose: PoseSE2, twist: TwistSE2, ref_point: tuple[float, float], 
     return PoseSE2(rotated.x + twist.vx * ds, rotated.y + twist.vy * ds, rotated.theta)
 
 
-def twist_norm(t: TwistSE2, char_length: float = 1.0) -> float:
-    """Weighted twist magnitude ||(vx, vy, L*omega)||.
-
-    char_length trades rotation against translation; L = 1 reproduces the
-    plain Euclidean norm used by the sliding motion update.
-    """
-    w = char_length * t.omega
-    return math.sqrt(t.vx * t.vx + t.vy * t.vy + w * w)
+def twist_norm(t: TwistSE2) -> float:
+    """Euclidean twist magnitude ||(vx, vy, omega)||, the norm of the
+    sliding motion update."""
+    return math.sqrt(t.vx * t.vx + t.vy * t.vy + t.omega * t.omega)
 
 
-def unit_twist(t: TwistSE2, char_length: float = 1.0) -> TwistSE2:
-    """Scale a twist to unit magnitude under the configured norm."""
-    n = twist_norm(t, char_length)
+def unit_twist(t: TwistSE2) -> TwistSE2:
+    """Scale a twist to unit magnitude under twist_norm."""
+    n = twist_norm(t)
     if n == 0.0:
         raise ValueError("cannot normalize a zero twist")
     return TwistSE2(t.vx / n, t.vy / n, t.omega / n)

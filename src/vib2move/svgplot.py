@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-STAGE_COLORS = {0: "#cccccc", 1: "#cfe8ff", 2: "#d7f4d7", 3: "#ffd9e6"}
+from .se2 import invert_point
+
 CLASS_COLORS = {"near_rotational": "#e75480", "translational": "#3aa0c9"}
 
 
@@ -19,21 +20,21 @@ def _f(v: float) -> str:
 
 
 class SvgCanvas:
-    """Fixed-size canvas with a data-space to pixel-space mapping (y up)."""
+    """640x480 canvas with a data-space to pixel-space mapping (y up)."""
 
-    def __init__(self, width=640, height=480, margin=48):
-        self.width = width
-        self.height = height
-        self.margin = margin
+    width, height, margin = 640, 480, 48
+
+    def __init__(self):
         self.elements: list[str] = []
         self._bounds = None
 
-    def set_bounds(self, xmin, xmax, ymin, ymax, pad_frac=0.08):
+    def set_bounds(self, xmin, xmax, ymin, ymax):
+        """Map the data box, padded by 8 % of its span on every side."""
         dx, dy = xmax - xmin, ymax - ymin
         dx = dx if dx > 1e-9 else 1.0
         dy = dy if dy > 1e-9 else 1.0
-        self._bounds = (xmin - pad_frac * dx, xmax + pad_frac * dx,
-                        ymin - pad_frac * dy, ymax + pad_frac * dy)
+        self._bounds = (xmin - 0.08 * dx, xmax + 0.08 * dx,
+                        ymin - 0.08 * dy, ymax + 0.08 * dy)
 
     def to_px(self, x, y):
         xmin, xmax, ymin, ymax = self._bounds
@@ -44,52 +45,46 @@ class SvgCanvas:
         py = self.height - self.margin - (y - ymin) * s
         return px, py
 
-    def polyline(self, points, stroke="#000000", width=1.5, opacity=1.0):
+    def polyline(self, points, stroke):
+        """2 px polyline through points."""
         if len(points) < 2:
             return
         pts = " ".join(f"{_f(px)},{_f(py)}" for px, py in (self.to_px(*p) for p in points))
         self.elements.append(
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{_f(width)}" stroke-opacity="{_f(opacity)}"/>')
+            f'stroke-width="2.000" stroke-opacity="1.000"/>')
 
-    def colored_path(self, points, colors, width=2.0):
+    def colored_path(self, points, colors):
         """Polyline through points, split into one piece per run of equal
         colors; each piece starts where the previous one ended."""
         run, color = [], None
         for pt, c in zip(points, colors):
             if c != color and run:
-                self.polyline(run, stroke=color, width=width)
+                self.polyline(run, color)
                 run = run[-1:]
             color = c
             run.append(pt)
         if run:
-            self.polyline(run, stroke=color, width=width)
+            self.polyline(run, color)
 
-    def circle(self, x, y, r_px, fill="#000000", stroke="none"):
+    def circle(self, x, y, r_px, fill, stroke="none"):
         px, py = self.to_px(x, y)
         self.elements.append(
             f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{_f(r_px)}" fill="{fill}" stroke="{stroke}"/>')
 
-    def segment(self, a, b, stroke="#000000", width=1.5):
+    def segment(self, a, b, stroke, width):
         pa, pb = self.to_px(*a), self.to_px(*b)
         self.elements.append(
             f'<line x1="{_f(pa[0])}" y1="{_f(pa[1])}" x2="{_f(pb[0])}" y2="{_f(pb[1])}" '
             f'stroke="{stroke}" stroke-width="{_f(width)}"/>')
 
-    def rect_data(self, x0, y0, x1, y1, fill, opacity=0.35):
-        p0, p1 = self.to_px(x0, y1), self.to_px(x1, y0)
+    def text(self, x_px, y_px, s, size, anchor="start"):
         self.elements.append(
-            f'<rect x="{_f(p0[0])}" y="{_f(p0[1])}" width="{_f(p1[0] - p0[0])}" '
-            f'height="{_f(p1[1] - p0[1])}" fill="{fill}" fill-opacity="{_f(opacity)}"/>')
-
-    def text(self, x_px, y_px, s, size=12, fill="#333333", anchor="start"):
-        self.elements.append(
-            f'<text x="{_f(x_px)}" y="{_f(y_px)}" font-size="{size}" fill="{fill}" '
+            f'<text x="{_f(x_px)}" y="{_f(y_px)}" font-size="{size}" fill="#333333" '
             f'text-anchor="{anchor}" font-family="sans-serif">{s}</text>')
 
-    def save(self, path: str | Path, title: str = ""):
-        if title:
-            self.text(self.width / 2, 24, title, size=15, anchor="middle")
+    def save(self, path: str | Path, title: str):
+        self.text(self.width / 2, 24, title, size=15, anchor="middle")
         body = "\n".join(self.elements)
         svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
                f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">\n'
@@ -97,7 +92,7 @@ class SvgCanvas:
         Path(path).write_text(svg)
 
 
-def plot_pulse_path(points, obj, out_path, title="slide path"):
+def plot_pulse_path(points, out_path, title="slide path"):
     """Object-center path during one pulse, colored by motion class."""
     xy = [(p.object_pose.x, p.object_pose.y) for p in points]
     if not xy:
@@ -123,8 +118,6 @@ def plot_plan_object_frame(result, goal, out_path, title="finger path in object 
     recorded pulse holds exactly its n_steps points, so the pulses of the
     action log give each point's stage in order.
     """
-    from .se2 import invert_point
-
     rel_path = [invert_point(p.object_pose, p.finger_pose.position) for p in result.trajectory]
     if not rel_path:
         return

@@ -2,18 +2,39 @@
 
 import collections
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from vib2move import _backend, _reference
 from vib2move._reference import STATUS_BUDGET, STATUS_DROPPED, STATUS_REST, STATUS_TARGET
-from vib2move.contact import ContactPatch, ObjectModel
-from vib2move.integrator import PulseSpec, _run_kernel, rollout_to_rest, slide_step, vibration_pulse
+from vib2move.contact import (
+    ContactPatch,
+    ObjectModel,
+    balance_wrench,
+    build_limit_surface,
+    ls_scale,
+    motion_direction,
+)
+from vib2move.harness import default_objects
+from vib2move.integrator import (
+    PulseSpec,
+    _kernel_args,
+    _run_kernel,
+    com_world,
+    pressure_center_world,
+    rollout_to_rest,
+    slide_step,
+    vibration_pulse,
+)
 from vib2move.planner import _pressure_error_from_pulse
-from vib2move.se2 import PoseSE2, wrap_angle
+from vib2move.se2 import PoseSE2, apply_twist, wrap_angle
 
 from conftest import state_with_contact_at
 
@@ -92,6 +113,37 @@ def test_backend_is_selected():
     assert callable(_backend.rollout_core)
 
 
+# a compiled kernel built before rollout_grid existed
+_STALE_NATIVE = """
+import sys, types
+stale = types.ModuleType("vib2move._native")
+stale.rollout_core = lambda *args: None
+sys.modules["vib2move._native"] = stale
+import vib2move.planner
+from vib2move import _backend
+print(_backend.BACKEND, _backend.rollout_grid.__module__)
+"""
+
+
+@pytest.mark.parametrize("forced", ["", "native"], ids=["auto", "forced_native"])
+def test_stale_native_build(forced):
+    """A stale extension falls back to Python, or when native is forced,
+    fails the import with a message to rebuild."""
+    src = str(Path(_backend.__file__).resolve().parents[1])
+    env = {**os.environ, "VIB2MOVE_BACKEND": forced,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _STALE_NATIVE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if forced:
+        assert proc.returncode != 0
+        assert "ImportError: VIB2MOVE_BACKEND=native" in proc.stderr
+        assert "rebuild" in proc.stderr
+        assert "AttributeError" not in proc.stderr
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["python", "vib2move._reference"]
+
+
 @pytest.mark.skipif(_native is None, reason="compiled kernel not built")
 def test_kernels_bit_identical():
     rng = random.Random(123)
@@ -108,6 +160,47 @@ def test_kernels_bit_identical():
         assert repr(ref) == repr(_native.rollout_grid(*args))
         lanes[len(ref) if len(ref) < 2 else "many"] += 1
     assert set(lanes) == {0, 1, "many"}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_steps_are_the_contact_model(kernel):
+    """Each recorded kernel step is one step of the contact model: x_c is
+    the lever of the step's start pose, (uy, uw) is motion_direction at
+    the gravity balance wrench of that x_c, bit for bit and with no vx,
+    k is its ls_scale to 1e-15 relative, and the end pose is apply_twist
+    of the start pose about the pressure center for the arc ds * k."""
+    rng = random.Random(2718)
+    n_steps = 0
+    for entry in default_objects():
+        plate = entry["model"]
+        hx, hy = plate.extents[0] / 2.0, plate.extents[1] / 2.0
+        for _ in range(8):
+            obj = replace(plate, com_offset=(rng.uniform(-0.3, 0.3) * hx,
+                                             rng.uniform(-0.3, 0.3) * hy))
+            rho, ang = rng.uniform(0.0, 0.9 * _R0), rng.uniform(-math.pi, math.pi)
+            patch = ContactPatch(r0=_R0, pressure_center_offset=(rho * math.cos(ang),
+                                                                 rho * math.sin(ang)))
+            finger = PoseSE2(rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02),
+                             rng.uniform(-math.pi, math.pi))
+            state = state_with_contact_at(
+                patch, (rng.uniform(-0.6, 0.6) * hx, rng.uniform(-0.6, 0.6) * hy),
+                rng.uniform(-math.pi, math.pi), finger=finger)
+            ds = rng.choice((5e-5, 2e-4))
+            records = kernel.rollout_core(*_kernel_args(state, obj, ds, 150, record=True))[5]
+            ls = build_limit_surface(patch)
+            pc = pressure_center_world(state)
+            prev = state.object_pose_w
+            for ox, oy, oth, uy, uw, k, xc in records:
+                assert xc == com_world(prev, obj)[0] - pc[0]
+                w = balance_wrench(obj, xc)
+                twist = motion_direction(ls, w)
+                assert (twist.vx, twist.vy, twist.omega) == (0.0, uy, uw)
+                assert k == pytest.approx(ls_scale(ls, w), rel=1e-15, abs=0.0)
+                pose = PoseSE2(ox, oy, oth)
+                assert pose == apply_twist(prev, twist, pc, ds * k)
+                prev = pose
+            n_steps += len(records)
+    assert n_steps >= 5000
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -133,38 +226,52 @@ def test_grid_lanes_match_rollout_core(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_non_finite_input_rejected_on_every_kernel(kernel, monkeypatch):
-    """Every kernel entry rejects a non-finite pose or offset value by name
-    before the kernel runs, whichever kernel is selected."""
+    """Every kernel entry rejects a non-finite pose or offset value, and a
+    ds that is not finite and positive, by name before the kernel runs,
+    whichever kernel is selected."""
     monkeypatch.setattr(_backend, "rollout_core", kernel.rollout_core)
     monkeypatch.setattr(_backend, "rollout_grid", kernel.rollout_grid)
     obj = ObjectModel(mass=0.09, extents=(0.09, 0.15))
     patch = ContactPatch(r0=_R0)
     state = state_with_contact_at(patch, (0.01, 0.02))
     pose = state.object_pose_w
+
+    def unchecked_pulse(ds):
+        # PulseSpec refuses such a ds itself; this one reaches the kernel path
+        spec = PulseSpec(1e-3, 5)
+        object.__setattr__(spec, "step_ds", ds)
+        return spec
+
     entries = [
         slide_step,
-        lambda st, ob: vibration_pulse(st, ob, PulseSpec(1e-3, 5)),
-        lambda st, ob: rollout_to_rest(st, ob, max_steps=5),
-        lambda st, ob: _run_kernel(st, ob, 1e-3, 5),  # rollout_core
-        lambda st, ob: _pressure_error_from_pulse(st, ob, 1e-3, 5, pose, pose),  # rollout_grid
+        lambda st, ob, ds: vibration_pulse(st, ob, unchecked_pulse(ds)),
+        lambda st, ob, ds: rollout_to_rest(st, ob, ds, max_steps=5),
+        lambda st, ob, ds: _run_kernel(st, ob, ds, 5),  # rollout_core
+        lambda st, ob, ds: _pressure_error_from_pulse(st, ob, ds, 5, pose, pose),  # rollout_grid
     ]
     # PoseSE2 wraps its angle and so refuses an infinite one; a state that
     # holds one anyway gets it set behind the constructor's back
     inf_angle = PoseSE2(pose.x, pose.y, 0.0)
     object.__setattr__(inf_angle, "theta", math.inf)
     cases = {
-        "object_pose_w.x": (replace(state, object_pose_w=PoseSE2(math.nan, pose.y, pose.theta)), obj),
-        "object_pose_w.y": (replace(state, object_pose_w=PoseSE2(pose.x, -math.inf, pose.theta)), obj),
-        "object_pose_w.theta": (replace(state, object_pose_w=inf_angle), obj),
-        "finger_pose_w.theta": (replace(state, finger_pose_w=PoseSE2(0.0, 0.0, math.nan)), obj),
-        "patch.pressure_center_offset[1]": (
-            replace(state, patch=ContactPatch(r0=_R0, pressure_center_offset=(0.0, math.nan))), obj),
-        "obj.com_offset[0]": (state, replace(obj, com_offset=(math.inf, 0.0))),
+        "object_pose_w.x must be finite": (
+            replace(state, object_pose_w=PoseSE2(math.nan, pose.y, pose.theta)), obj, 1e-3),
+        "object_pose_w.y must be finite": (
+            replace(state, object_pose_w=PoseSE2(pose.x, -math.inf, pose.theta)), obj, 1e-3),
+        "object_pose_w.theta must be finite": (replace(state, object_pose_w=inf_angle), obj, 1e-3),
+        "finger_pose_w.theta must be finite": (
+            replace(state, finger_pose_w=PoseSE2(0.0, 0.0, math.nan)), obj, 1e-3),
+        "patch.pressure_center_offset[1] must be finite": (
+            replace(state, patch=ContactPatch(r0=_R0, pressure_center_offset=(0.0, math.nan))),
+            obj, 1e-3),
+        "obj.com_offset[0] must be finite": (state, replace(obj, com_offset=(math.inf, 0.0)), 1e-3),
     }
-    for name, (st, ob) in cases.items():
+    for ds in (math.nan, math.inf, 0.0, -1e-3):
+        cases[f"ds must be finite and positive, got {ds}"] = (state, obj, ds)
+    for message, (st, ob, ds) in cases.items():
         for call in entries:
-            with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
-                call(st, ob)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(st, ob, ds)
 
 
 _TWO_PI = 2.0 * math.pi

@@ -138,6 +138,13 @@ def _error_lines(caplog):
 
 
 class TestBadStepInputs:
+    @pytest.mark.parametrize("ds", ["0", "-1", "nan", "inf"])
+    def test_predict_ds_must_be_finite_and_positive(self, tmp_path, caplog, ds):
+        assert run(["predict", "--scenario", "demo_pulse", "--ds", ds,
+                    "--out", tmp_path / "o"]) == 1
+        assert _error_lines(caplog) == [f"--ds must be a finite positive number, got {float(ds)}"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key, value", [("step_ds", -0.001), ("max_actions_per_stage", 0)])
     def test_planner_value_rejected_before_planning(self, tmp_path, caplog, key, value):
         doc = json.loads(bundled_path("demo_plan").read_text())

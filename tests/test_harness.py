@@ -178,3 +178,41 @@ def test_plant_env_records_only_on_request():
     assert quiet.pulse(40, 1e-3) == []
     assert len(loud.pulse(40, 1e-3)) == 40
     assert repr(quiet.state) == repr(loud.state)
+
+
+def test_trials_count_every_env_action(monkeypatch):
+    """n_actions counts observe, reorient and pulse calls alike, on a
+    failed trial as on a successful one."""
+    from vib2move import harness
+
+    kinds_per_env = []
+
+    class KindLoggingEnv(PlantEnv):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.kinds = []
+            kinds_per_env.append(self.kinds)
+
+        def observe(self):
+            self.kinds.append("observe")
+            return super().observe()
+
+        def reorient(self, target_theta):
+            super().reorient(target_theta)
+            self.kinds.append("reorient")
+
+        def pulse(self, n_steps, step_ds):
+            points = super().pulse(n_steps, step_ds)
+            self.kinds.append("pulse")
+            return points
+
+    monkeypatch.setattr(harness, "PlantEnv", KindLoggingEnv)
+    report = run_reconfiguration_eval(objects=default_objects()[:1], n_paths_per_object=4,
+                                      config=PlannerConfig(max_actions_per_stage=1), seed=3)
+    planned = [t for t in report.trials if t.failure != "no feasible goal found"]
+    assert len(planned) == len(kinds_per_env)
+    timeouts = [t for t in planned if (t.failure or "").startswith("StageTimeoutError")]
+    assert timeouts
+    for trial, kinds in zip(planned, kinds_per_env):
+        assert set(kinds) == {"observe", "reorient", "pulse"}
+        assert trial.n_actions == len(kinds)

@@ -161,8 +161,9 @@ class TestVibrationPulse:
         assert 0 < ei.value.step_index < 10_000
 
     def test_pulse_spec_validation(self):
-        with pytest.raises(ValueError):
-            PulseSpec(step_ds=0.0, n_steps=1)
+        for bad in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step_ds must be finite and positive"):
+                PulseSpec(step_ds=bad, n_steps=1)
         with pytest.raises(ValueError):
             PulseSpec(step_ds=1e-3, n_steps=0)
 

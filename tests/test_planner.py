@@ -115,9 +115,9 @@ class TestSubgoals:
         for err_sign in (+1.0, -1.0):
             e_theta = err_sign * math.radians(10)
             goal = PoseSE2(0.01, 0.03, rel_theta - e_theta)
-            candidates = _stage3_candidates(st, plate, e_theta, config)
+            candidates = _stage3_candidates(st, plate, e_theta, config, e_theta)
             assert "below" in candidates
-            target, gamma, side = _stage3_target(st, plate, goal, config, e_theta)
+            target, gamma, side = _stage3_target(st, plate, goal, config, e_theta, e_theta)
             assert candidates[side] == (target, gamma)
             for cand_target, _ in candidates.values():
                 out = primitive_reorient(st, cand_target)
@@ -128,9 +128,9 @@ class TestSubgoals:
     def test_orientation_needs_a_lever(self, paper_patch, plate, config):
         st = state_with_contact_at(paper_patch, (0.0, 1e-9))
         with pytest.raises(SingularityError):
-            _stage3_candidates(st, plate, 0.3, config)
+            _stage3_candidates(st, plate, 0.3, config, 0.3)
         with pytest.raises(SingularityError):
-            _stage3_target(st, plate, PoseSE2(0.0, 0.0, 0.0), config, 0.3)
+            _stage3_target(st, plate, PoseSE2(0.0, 0.0, 0.0), config, 0.3, 0.3)
 
 
 class TestPiUpdate:
@@ -155,6 +155,30 @@ class TestPiUpdate:
         for _ in range(100):
             pi = pi_update(pi, (0.01, 0.0), (0.5, 0.1), r0=0.015)
         assert math.hypot(*pi.pressure_center_estimate) <= 0.95 * 0.015 + 1e-12
+
+
+class ContractCheckingEnv(PlantEnv):
+    """A plant that asserts the primitive contracts on every action: a
+    reorient keeps the true finger-in-object pose, and a pulse keeps the
+    finger pose."""
+
+    checked = 0
+
+    def reorient(self, target_theta):
+        before = self.true_relative_pose()
+        super().reorient(target_theta)
+        after = self.true_relative_pose()
+        assert after.x == pytest.approx(before.x, abs=1e-12)
+        assert after.y == pytest.approx(before.y, abs=1e-12)
+        assert wrap_angle(after.theta - before.theta) == pytest.approx(0.0, abs=1e-12)
+        self.checked += 1
+
+    def pulse(self, n_steps, step_ds):
+        before = self.finger_pose()
+        points = super().pulse(n_steps, step_ds)
+        assert self.finger_pose() == before
+        self.checked += 1
+        return points
 
 
 class TestPlanExecution:
@@ -184,17 +208,10 @@ class TestPlanExecution:
 
     def test_primitive_contracts_on_every_action(self, config):
         problem, rel0 = self._problem()
-        env = PlantEnv(state_from_relative(rel0, problem.patch), problem.obj)
-        plan_and_execute(problem, env, config)
-        assert len(env.trace) > 6
-        for rec in env.trace:
-            if rec["kind"] == "reorient":
-                b, a = rec["rel_before"], rec["rel_after"]
-                assert a.x == pytest.approx(b.x, abs=1e-12)
-                assert a.y == pytest.approx(b.y, abs=1e-12)
-                assert wrap_angle(a.theta - b.theta) == pytest.approx(0.0, abs=1e-12)
-            else:
-                assert rec["finger_after"] == rec["finger_before"]
+        env = ContractCheckingEnv(state_from_relative(rel0, problem.patch), problem.obj)
+        result = plan_and_execute(problem, env, config)
+        assert env.checked > 6
+        assert env.n_actions == len(result.actions)
 
     def test_stage1_distance_non_increasing(self, config):
         problem, rel0 = self._problem()
