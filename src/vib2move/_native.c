@@ -9,7 +9,13 @@
  * makes, not x * x).
  *
  * cos/sin of the object angle are taken once per step: the drop check's
- * values at the end of a step are carried into the next step's top. */
+ * values at the end of a step are carried into the next step's top. Like
+ * the Python kernels, and exact for the same reasons (see _reference.py):
+ * wrap() returns a shifted angle already in (0, 2 pi] without fmod; the
+ * contact offset (rx, ry) computed for the drop check is carried into the
+ * next step's rotation, the check testing its rotated components with
+ * the opposite sign; and the stop bookkeeping runs only when a travel or
+ * rotation stop is set. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -20,11 +26,15 @@ static const double TWO_PI = 6.283185307179586;
 
 enum { STATUS_BUDGET = 0, STATUS_REST = 1, STATUS_DROPPED = 2, STATUS_TARGET = 3 };
 
-/* vib2move.se2.wrap_angle: wrap to (-pi, pi] */
+/* vib2move.se2.wrap_angle: wrap to (-pi, pi]; a shifted angle already in
+ * (0, 2 pi] is what fmod and the lift would return, so it skips them */
 static double
 wrap(double a)
 {
-    double r = fmod(a + PI, TWO_PI);
+    double r = a + PI;
+    if (r > 0.0 && r <= TWO_PI)
+        return r - PI;
+    r = fmod(r, TWO_PI);
     if (r <= 0.0)
         r += TWO_PI;
     return r - PI;
@@ -44,10 +54,12 @@ slide(double pcx, double pcy, double cdx, double cdy, double hx, double hy,
 {
     double ox = *x, oy = *y, oth = *th;
     double wy = -mg, wy2 = wy * wy, a3sq = a3 * a3;
-    double travel = 0.0, rot = 0.0;
+    double travel = 0.0, rot = 0.0, step_t = 0.0, step_r = 0.0;
+    int sized = stop_travel > 0.0 || stop_rot > 0.0;
     int status = STATUS_BUDGET;
     long done = 0;
     double co = cos(oth), so = sin(oth);
+    double rx = ox - pcx, ry = oy - pcy;
     for (long i = 0; i < n_max; i++) {
         double xc = ox + co * cdx - so * cdy - pcx;
         if (stop_eps > 0.0 && oy + so * cdx + co * cdy < pcy && fabs(xc) < stop_eps) {
@@ -63,24 +75,22 @@ slide(double pcx, double pcy, double cdx, double cdy, double hx, double hy,
         double k = 1.0 / (wy2 + tt * tt);
         double h = ds * k;
         double phi = uw * h;
-        /* predictive stop: do not take a step that would overshoot a stop
-         * target by more than half the step itself */
-        if (stop_travel > 0.0) {
-            double step_t = h * fabs(uy);
-            if (travel + step_t > stop_travel && stop_travel - travel < 0.5 * step_t) {
+        if (sized) {
+            /* predictive stop: do not take a step that would overshoot a
+             * stop target by more than half the step itself */
+            step_t = h * fabs(uy);
+            step_r = fabs(phi);
+            if (stop_travel > 0.0 && travel + step_t > stop_travel
+                && stop_travel - travel < 0.5 * step_t) {
                 status = STATUS_TARGET;
                 break;
             }
-        }
-        if (stop_rot > 0.0) {
-            double step_r = fabs(phi);
-            if (rot + step_r > stop_rot && stop_rot - rot < 0.5 * step_r) {
+            if (stop_rot > 0.0 && rot + step_r > stop_rot && stop_rot - rot < 0.5 * step_r) {
                 status = STATUS_TARGET;
                 break;
             }
         }
         double cphi = cos(phi), sphi = sin(phi);
-        double rx = ox - pcx, ry = oy - pcy;
         ox = pcx + cphi * rx - sphi * ry;
         oy = pcy + sphi * rx + cphi * ry + uy * h;
         oth = wrap(oth + phi);
@@ -100,21 +110,24 @@ slide(double pcx, double pcy, double cdx, double cdy, double hx, double hy,
             if (failed)
                 return -1;
         }
-        /* also the next step's angle terms */
+        /* also the next step's angle terms and contact offset */
         co = cos(oth);
         so = sin(oth);
-        double dx = pcx - ox, dy = pcy - oy;
-        double lx = co * dx + so * dy;
-        double ly = -so * dx + co * dy;
+        rx = ox - pcx;
+        ry = oy - pcy;
+        double lx = co * rx + so * ry;
+        double ly = co * ry - so * rx;
         if (lx > hx || -lx > hx || ly > hy || -ly > hy) {
             status = STATUS_DROPPED;
             break;
         }
-        travel += h * fabs(uy);
-        rot += fabs(phi);
-        if ((stop_travel > 0.0 && travel >= stop_travel) || (stop_rot > 0.0 && rot >= stop_rot)) {
-            status = STATUS_TARGET;
-            break;
+        if (sized) {
+            travel += step_t;
+            rot += step_r;
+            if ((stop_travel > 0.0 && travel >= stop_travel) || (stop_rot > 0.0 && rot >= stop_rot)) {
+                status = STATUS_TARGET;
+                break;
+            }
         }
     }
     *x = ox;

@@ -17,6 +17,22 @@ values taken at the end of a step for the drop check are exactly the
 ones the next step needs at its top, so they are carried over. This
 kernel also hoists every loop invariant into a local; each hoisted value
 is the same operation on the same operands as before, so no bit moves.
+
+Three more shortcuts leave every output bit where it was:
+- In-range wrap. The angle wrap is fmod(t, 2 pi) of the shifted angle
+  t = theta + pi, lifted into (0, 2 pi]. For 0 < t < 2 pi fmod returns t,
+  and at t == 2 pi its 0 is lifted back to t, so such a t is used as it
+  is; NaN, infinities and angles outside the range take the fmod path.
+- Carried contact offset. Each step ends with (rx, ry) = object position
+  minus pressure center, the operands the next step's rotation needs.
+  The drop check tests co*rx + so*ry and co*ry - so*rx, the negated
+  footprint coordinates of the pressure center: x - p is -(p - x)
+  exactly under round to nearest (up to the sign of zero), and the check
+  is two-sided, so it takes the same branch.
+- Stop bookkeeping only when a stop is set. Without stop_travel or
+  stop_rot (the plant, predict and grid rollouts) rollout_core skips the
+  predictive stop tests, the travel/rotation sums and the target test;
+  with one, the sums add the very step_t and step_r the tests used.
 """
 
 import math
@@ -74,6 +90,7 @@ def rollout_core(
     rest_stop = stop_eps > 0.0
     travel_stop = stop_travel > 0.0
     rot_stop = stop_rot > 0.0
+    sized = travel_stop or rot_stop
     records = []
     append = records.append
     status = STATUS_BUDGET
@@ -82,11 +99,11 @@ def rollout_core(
     rot = 0.0
     co = cos(oth)
     so = sin(oth)
+    rx = ox - pcx
+    ry = oy - pcy
     for i in range(n_max):
-        comx = ox + co * cdx - so * cdy
-        comy = oy + so * cdx + co * cdy
-        xc = comx - pcx
-        if rest_stop and comy < pcy and abs(xc) < stop_eps:
+        xc = ox + co * cdx - so * cdy - pcx
+        if rest_stop and oy + so * cdx + co * cdy < pcy and abs(xc) < stop_eps:
             status = STATUS_REST
             break
         wt = wy * xc
@@ -98,47 +115,47 @@ def rollout_core(
         k = 1.0 / (wy2 + tt * tt)
         h = ds * k
         phi = uw * h
-        # predictive stop: do not take a step that would overshoot a stop
-        # target by more than half the step itself
-        if travel_stop:
+        if sized:
+            # predictive stop: do not take a step that would overshoot a
+            # stop target by more than half the step itself
             step_t = h * abs(uy)
-            if travel + step_t > stop_travel and stop_travel - travel < 0.5 * step_t:
+            step_r = abs(phi)
+            if (travel_stop and travel + step_t > stop_travel
+                    and stop_travel - travel < 0.5 * step_t):
                 status = STATUS_TARGET
                 break
-        if rot_stop:
-            step_r = abs(phi)
-            if rot + step_r > stop_rot and stop_rot - rot < 0.5 * step_r:
+            if rot_stop and rot + step_r > stop_rot and stop_rot - rot < 0.5 * step_r:
                 status = STATUS_TARGET
                 break
         cphi = cos(phi)
         sphi = sin(phi)
-        rx = ox - pcx
-        ry = oy - pcy
         ox = pcx + cphi * rx - sphi * ry
         oy = pcy + sphi * rx + cphi * ry + uy * h
-        oth = oth + phi
-        r = fmod(oth + pi, two_pi)
-        if r <= 0.0:
-            r += two_pi
-        oth = r - pi
+        t = oth + phi + pi
+        if not 0.0 < t <= two_pi:
+            t = fmod(t, two_pi)
+            if t <= 0.0:
+                t += two_pi
+        oth = t - pi
         n_done = i + 1
         if record:
             append((ox, oy, oth, uy, uw, k, xc))
-        # also the next step's angle terms
+        # also the next step's angle terms and contact offset
         co = cos(oth)
         so = sin(oth)
-        dx = pcx - ox
-        dy = pcy - oy
-        lx = co * dx + so * dy
-        ly = -so * dx + co * dy
+        rx = ox - pcx
+        ry = oy - pcy
+        lx = co * rx + so * ry
+        ly = co * ry - so * rx
         if lx > hx or -lx > hx or ly > hy or -ly > hy:
             status = STATUS_DROPPED
             break
-        travel += h * abs(uy)
-        rot += abs(phi)
-        if (travel_stop and travel >= stop_travel) or (rot_stop and rot >= stop_rot):
-            status = STATUS_TARGET
-            break
+        if sized:
+            travel += step_t
+            rot += step_r
+            if (travel_stop and travel >= stop_travel) or (rot_stop and rot >= stop_rot):
+                status = STATUS_TARGET
+                break
     return status, n_done, ox, oy, oth, records
 
 
@@ -192,6 +209,8 @@ def rollout_grid(
         pcx = fx + cf * pdx - sf * pdy
         pcy = fy + sf * pdx + cf * pdy
         x, y, th, co, so = ox, oy, oth, co0, so0
+        rx = x - pcx
+        ry = y - pcy
         for _ in range(n_max):
             wt = wy * (x + co * cdx - so * cdy - pcx)
             tw = wt / a3sq
@@ -201,20 +220,20 @@ def rollout_grid(
             phi = tw / n * h
             cphi = cos(phi)
             sphi = sin(phi)
-            rx = x - pcx
-            ry = y - pcy
             x = pcx + cphi * rx - sphi * ry
             y = pcy + sphi * rx + cphi * ry + wy / n * h
-            r = fmod(th + phi + pi, two_pi)
-            if r <= 0.0:
-                r += two_pi
-            th = r - pi
+            t = th + phi + pi
+            if not 0.0 < t <= two_pi:
+                t = fmod(t, two_pi)
+                if t <= 0.0:
+                    t += two_pi
+            th = t - pi
             co = cos(th)
             so = sin(th)
-            dx = pcx - x
-            dy = pcy - y
-            lx = co * dx + so * dy
-            ly = -so * dx + co * dy
+            rx = x - pcx
+            ry = y - pcy
+            lx = co * rx + so * ry
+            ly = co * ry - so * rx
             if lx > hx or -lx > hx or ly > hy or -ly > hy:
                 break
         costs.append(match_cost(x, y, wrap_angle(th), obs_x, obs_y, obs_theta,

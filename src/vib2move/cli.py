@@ -92,6 +92,9 @@ def cmd_predict(args) -> int:
     if not 0.0 < args.ds < math.inf:
         log.error("--ds must be a finite positive number, got %s", args.ds)
         return 1
+    if args.n_steps < 0:
+        log.error("--n-steps must be zero or more, got %s", args.n_steps)
+        return 1
     scenario = load_scenario(_resolve_scenario(args.scenario))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -59,6 +59,11 @@ class PerturbationModel:
     radius_jitter_sigma: float = 0.0
     pressure_bias_fixed: float = 0.0
 
+    def __post_init__(self):
+        for name in ("pressure_bias_sigma", "radius_jitter_sigma", "pressure_bias_fixed"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+
     def apply(self, patch: ContactPatch, rng: random.Random) -> ContactPatch:
         r0 = patch.r0 + rng.gauss(0.0, self.radius_jitter_sigma)
         r0 = max(r0, 0.25 * patch.r0)
@@ -134,10 +139,12 @@ class PlantEnv:
         self.n_actions += 1
 
     def pulse(self, n_steps: int, step_ds: float):
-        live = replace(self.state, vibration_on=True)
+        s = self.state
+        live = ContactState(s.finger_pose_w, s.object_pose_w, s.patch, True)
         new_state, points = vibration_pulse(live, self.obj, PulseSpec(step_ds, n_steps),
                                             record=self.record)
-        self.state = replace(new_state, vibration_on=False)
+        self.state = ContactState(new_state.finger_pose_w, new_state.object_pose_w,
+                                  new_state.patch, False)
         self.n_actions += 1
         return points
 

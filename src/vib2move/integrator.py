@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import _backend
 from .contact import ContactPatch, ObjectModel
@@ -186,7 +186,9 @@ def _slide(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
     status, n_done, ox, oy, oth, records = _run_kernel(state, obj, ds, n_max, stop_eps, record)
     if status == _backend.STATUS_DROPPED:
         raise ObjectDroppedError(n_done)
-    return replace(state, object_pose_w=PoseSE2(ox, oy, oth)), status, n_done, records
+    new_state = ContactState(state.finger_pose_w, PoseSE2(ox, oy, oth), state.patch,
+                             state.vibration_on)
+    return new_state, status, n_done, records
 
 
 def slide_step(state: ContactState, obj: ObjectModel, ds: float = DEFAULT_DS) -> ContactState:

@@ -181,11 +181,9 @@ def primitive_reorient(state: ContactState, target_theta: float,
             f"finger orientation {target_theta:.3f} outside limits {limits}")
     dphi = wrap_angle(target_theta - state.finger_pose_w.theta)
     center = state.finger_pose_w.position
-    return replace(
-        state,
-        finger_pose_w=rotate_pose_about(state.finger_pose_w, center, dphi),
-        object_pose_w=rotate_pose_about(state.object_pose_w, center, dphi),
-    )
+    return ContactState(rotate_pose_about(state.finger_pose_w, center, dphi),
+                        rotate_pose_about(state.object_pose_w, center, dphi),
+                        state.patch, state.vibration_on)
 
 
 def _bearing_target(state: ContactState, world_point: tuple[float, float]) -> float:
@@ -277,7 +275,8 @@ def _pressure_error_from_pulse(belief: ContactState, obj: ObjectModel, ds: float
     a single _backend.rollout_grid call, which scores each replay with
     the same match_cost. There is no sub-grid refinement: the float grid
     keys are not evenly spaced, so no best candidate ever has both
-    neighbors at exactly one grid step.
+    neighbors at exactly one grid step. Candidates are keyed by their
+    grid index, so the rivals two grid steps either side are looked up.
     """
     th = belief.finger_pose_w.theta
     ex_f, ey_f = math.cos(th), -math.sin(th)
@@ -285,37 +284,36 @@ def _pressure_error_from_pulse(belief: ContactState, obj: ObjectModel, ds: float
     r0 = belief.patch.r0
     costs = {}
     offsets = []
-    for err in _ERROR_GRID:
+    for i, err in enumerate(_ERROR_GRID):
         if err == 0.0:
-            costs[err] = match_cost(predicted.x, predicted.y, predicted.theta, observed.x,
-                                    observed.y, observed.theta, _SIGMA_POS, _SIGMA_THETA)
+            costs[i] = match_cost(predicted.x, predicted.y, predicted.theta, observed.x,
+                                  observed.y, observed.theta, _SIGMA_POS, _SIGMA_THETA)
             continue
         off = (pdx + ex_f * err, pdy + ey_f * err)
         if math.hypot(*off) < r0:
-            costs[err] = None  # filled in grid order from the replays below
+            costs[i] = None  # filled in grid order from the replays below
             offsets.append(off)
     # the replays differ from the belief's rollout only in the
     # pressure-center offset, kernel arguments 6 and 7
     args = _kernel_args(belief, obj, ds, n_steps)
     replays = iter(_backend.rollout_grid(*args[:6], offsets, *args[8:17], observed.x,
                                          observed.y, observed.theta, _SIGMA_POS, _SIGMA_THETA))
-    for err in costs:
-        if err != 0.0:
-            costs[err] = next(replays)
-    best_err = min(costs, key=costs.get)
-    best_cost = costs[best_err]
+    for i in costs:
+        if costs[i] is None:
+            costs[i] = next(replays)
+    best = min(costs, key=costs.get)
+    best_cost = costs[best]
     # confidence from how sharply the fit localizes the error: compare the
     # best candidate against its 1 mm neighborhood; a flat valley means the
     # pulse was noise-dominated and should barely move the estimate
-    step = _ERROR_GRID[1] - _ERROR_GRID[0]
-    rivals = [c for e, c in costs.items() if abs(abs(e - best_err) - 2 * step) < 1e-12]
+    rivals = [costs[i] for i in (best - 2, best + 2) if i in costs]
     if not rivals:
         return None
     localization = min(rivals) - best_cost
     weight = min(1.0, localization / 4.0)
     if weight < 0.1:
         return None
-    return weight * best_err
+    return weight * _ERROR_GRID[best]
 
 
 def _size_pulse(state: ContactState, obj: ObjectModel, config: PlannerConfig,
@@ -613,9 +611,11 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
     # at top speed
     k_max = 1.0 / obj.weight ** 2
 
+    # the planner's patch: the nominal one at the current pressure estimate
+    belief_patch = replace(nominal, pressure_center_offset=pi.pressure_center_estimate)
+
     def belief_state() -> ContactState:
-        patch = replace(nominal, pressure_center_offset=pi.pressure_center_estimate)
-        return ContactState(env.finger_pose(), obs, patch, False)
+        return ContactState(env.finger_pose(), obs, belief_patch, False)
 
     def residual(stage: int, belief: ContactState) -> float:
         if stage == 1:
@@ -758,6 +758,7 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
                 th = belief.finger_pose_w.theta
                 e_finger = (math.cos(th) * ex_world, -math.sin(th) * ex_world)
                 pi = pi_update(pi, e_finger, config.pi_gains, nominal.r0)
+                belief_patch = replace(nominal, pressure_center_offset=pi.pressure_center_estimate)
                 bias_unc = max(config.pressure_uncertainty_floor,
                                0.5 * bias_unc + 0.5 * min(abs(ex_world),
                                                           config.pressure_uncertainty_prior))

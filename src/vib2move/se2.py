@@ -14,8 +14,16 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    r = math.fmod(a + math.pi, TWO_PI)
+    """Wrap an angle to (-pi, pi].
+
+    The result is fmod(a + pi, 2 pi), lifted into (0, 2 pi], minus pi.
+    fmod returns a shifted angle already in (0, 2 pi) unchanged, and the
+    lift turns 2 pi's 0 back into 2 pi, so such an angle skips the call.
+    """
+    r = a + math.pi
+    if 0.0 < r <= TWO_PI:
+        return r - math.pi
+    r = math.fmod(r, TWO_PI)
     if r <= 0.0:
         r += TWO_PI
     return r - math.pi

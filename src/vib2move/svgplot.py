@@ -79,6 +79,8 @@ class SvgCanvas:
             f'stroke="{stroke}" stroke-width="{_f(width)}"/>')
 
     def text(self, x_px, y_px, s, size, anchor="start"):
+        """Text at a pixel position; s is escaped as XML character data."""
+        s = str(s).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         self.elements.append(
             f'<text x="{_f(x_px)}" y="{_f(y_px)}" font-size="{size}" fill="#333333" '
             f'text-anchor="{anchor}" font-family="sans-serif">{s}</text>')

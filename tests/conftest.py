@@ -7,6 +7,14 @@ from vib2move.integrator import ContactState
 from vib2move.se2 import PoseSE2
 
 
+def fmod_wrap_angle(a):
+    """se2.wrap_angle as it was before in-range angles skipped fmod."""
+    r = math.fmod(a + math.pi, 2.0 * math.pi)
+    if r <= 0.0:
+        r += 2.0 * math.pi
+    return r - math.pi
+
+
 @pytest.fixture
 def paper_patch():
     return ContactPatch(r0=0.015, c=0.6)

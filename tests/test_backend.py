@@ -36,7 +36,7 @@ from vib2move.integrator import (
 from vib2move.planner import _pressure_error_from_pulse
 from vib2move.se2 import PoseSE2, apply_twist, wrap_angle
 
-from conftest import state_with_contact_at
+from conftest import fmod_wrap_angle, state_with_contact_at
 
 try:
     from vib2move import _native
@@ -364,6 +364,71 @@ def _rollout_core_recomputing_angle_terms(
     return status, n_done, ox, oy, oth, records
 
 
+def _match_cost_fmod_wrap(x, y, theta, obs_x, obs_y, obs_theta, sigma_pos, sigma_theta):
+    """_reference.match_cost with the angle wrapped by the fmod formula."""
+    return ((x - obs_x) ** 2 + (y - obs_y) ** 2) / sigma_pos ** 2 \
+        + fmod_wrap_angle(theta - obs_theta) ** 2 / sigma_theta ** 2
+
+
+def _rollout_grid_fmod_wrap(
+    ox, oy, oth,
+    fx, fy, fth,
+    offsets,
+    cdx, cdy,
+    hx, hy,
+    mass, gravity, a3,
+    ds, n_max,
+    obs_x, obs_y, obs_theta, sigma_pos, sigma_theta,
+):
+    """The Python rollout_grid as it was before in-range angles skipped
+    fmod and the contact offset was carried from one step's drop check
+    into the next step's rotation; kept verbatim as the reference, with
+    its two wrap_angle calls spelled as the fmod formula."""
+    cos, sin, sqrt, fmod = math.cos, math.sin, math.sqrt, math.fmod
+    pi, two_pi = math.pi, _TWO_PI
+    cf = cos(fth)
+    sf = sin(fth)
+    mg = mass * gravity
+    a3sq = a3 * a3
+    wy = -mg
+    wy2 = wy * wy
+    co0 = cos(oth)
+    so0 = sin(oth)
+    costs = []
+    for pdx, pdy in offsets:
+        pcx = fx + cf * pdx - sf * pdy
+        pcy = fy + sf * pdx + cf * pdy
+        x, y, th, co, so = ox, oy, oth, co0, so0
+        for _ in range(n_max):
+            wt = wy * (x + co * cdx - so * cdy - pcx)
+            tw = wt / a3sq
+            n = sqrt(wy2 + tw * tw)
+            tt = wt / a3
+            h = ds * (1.0 / (wy2 + tt * tt))
+            phi = tw / n * h
+            cphi = cos(phi)
+            sphi = sin(phi)
+            rx = x - pcx
+            ry = y - pcy
+            x = pcx + cphi * rx - sphi * ry
+            y = pcy + sphi * rx + cphi * ry + wy / n * h
+            r = fmod(th + phi + pi, two_pi)
+            if r <= 0.0:
+                r += two_pi
+            th = r - pi
+            co = cos(th)
+            so = sin(th)
+            dx = pcx - x
+            dy = pcy - y
+            lx = co * dx + so * dy
+            ly = -so * dx + co * dy
+            if lx > hx or -lx > hx or ly > hy or -ly > hy:
+                break
+        costs.append(_match_cost_fmod_wrap(x, y, fmod_wrap_angle(th), obs_x, obs_y, obs_theta,
+                                           sigma_pos, sigma_theta))
+    return costs
+
+
 def test_python_kernel_matches_recomputing_reference():
     rng = random.Random(456)
     statuses = collections.Counter()
@@ -375,6 +440,60 @@ def test_python_kernel_matches_recomputing_reference():
         arities[len(args), args[18]] += 1
     assert set(statuses) == ALL_STATUSES
     assert set(arities) == {(n, rec) for n in (19, 20, 21) for rec in (False, True)}
+
+
+def test_python_grid_matches_fmod_reference():
+    rng = random.Random(789)
+    for args in random_grid_calls(rng, 300):
+        assert repr(_reference.rollout_grid(*args)) == repr(_rollout_grid_fmod_wrap(*args))
+
+
+def _edge_core_calls():
+    """rollout_core calls on the wrap's edges and with a zero contact offset.
+
+    With no center-of-mass offset and the object x exactly at the pressure
+    center's, x_c and so phi are 0: from oth = pi every step's shifted
+    angle oth + phi + pi is exactly 2 pi, from oth = -pi the first one is
+    exactly 0, and the object slides straight down until it drops or
+    reaches a travel stop. The offset lever starts a rotation from the
+    same zero contact offset; the huge angles take the fmod path."""
+    mass_gravity_a3_ds = (0.09, 9.81, 0.009, 1e-3)
+    for fth, pdx, pdy in ((0.0, 0.0, 0.0), (0.3, 0.002, -0.001)):
+        fx, fy = 0.01, -0.004
+        pcx = fx + math.cos(fth) * pdx - math.sin(fth) * pdy
+        for oth, cdx in ((math.pi, 0.0), (-math.pi, 0.0), (0.0, 0.003), (math.pi, -0.002),
+                         (3.0 * math.pi, 0.001), (1e300, 0.001)):
+            base = [pcx, 0.02, oth, fx, fy, fth, pdx, pdy, cdx, 0.0, 0.045, 0.075,
+                    *mass_gravity_a3_ds, 200]
+            yield base + [-1.0, True]
+            yield base + [-1.0, False, 0.01]
+            yield base + [1e-5, True, 0.05, 0.3]
+
+
+def _edge_grid_calls():
+    """rollout_grid calls whose zero-offset lane has x_c = 0 (see
+    _edge_core_calls), with step budgets of 0, 1 and 200, so the end-of-lane
+    wrap also meets unwrapped start angles."""
+    fx = 0.01
+    offsets = [(0.0, 0.0), (0.001, 0.0), (-0.002, 0.001)]
+    for oth in (math.pi, -math.pi, 3.0 * math.pi, 1e300, 0.5):
+        for n_max in (0, 1, 200):
+            yield (fx, 0.02, oth, fx, -0.004, 0.0, offsets, 0.0, 0.0, 0.045, 0.075,
+                   0.09, 9.81, 0.009, 1e-3, n_max, fx, -0.01, math.pi, 0.0015, 0.013)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_edge_calls_match_the_kept_references(kernel):
+    for args in _edge_core_calls():
+        assert repr(kernel.rollout_core(*args)) == repr(
+            _rollout_core_recomputing_angle_terms(*args))
+    for args in _edge_grid_calls():
+        assert repr(kernel.rollout_grid(*args)) == repr(_rollout_grid_fmod_wrap(*args))
+    # the straight slide from oth = pi keeps phi at 0 and the angle at pi,
+    # so every one of its steps met the 2 pi edge, until it dropped
+    status, n_done, _, _, _, records = kernel.rollout_core(*next(_edge_core_calls()))
+    assert status == STATUS_DROPPED and n_done > 10
+    assert {(r[2], r[4]) for r in records} == {(math.pi, 0.0)}
 
 
 @pytest.mark.skipif(_native is None, reason="compiled kernel not built")

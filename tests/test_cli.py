@@ -4,6 +4,7 @@ import json
 import logging
 import math
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -145,6 +146,12 @@ class TestBadStepInputs:
         assert _error_lines(caplog) == [f"--ds must be a finite positive number, got {float(ds)}"]
         assert not (tmp_path / "o").exists()
 
+    def test_predict_n_steps_must_not_be_negative(self, tmp_path, caplog):
+        assert run(["predict", "--scenario", "demo_pulse", "--n-steps", -5,
+                    "--out", tmp_path / "o"]) == 1
+        assert _error_lines(caplog) == ["--n-steps must be zero or more, got -5"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key, value", [("step_ds", -0.001), ("max_actions_per_stage", 0)])
     def test_planner_value_rejected_before_planning(self, tmp_path, caplog, key, value):
         doc = json.loads(bundled_path("demo_plan").read_text())
@@ -195,3 +202,19 @@ class TestBadStepInputs:
         [msg] = _error_lines(caplog)
         assert key in msg and repr(value) in msg and "\n" not in msg
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, scenario, title", [
+    ("predict", "demo_pulse", "single pulse"), ("plan", "demo_plan", "three-stage plan")])
+def test_svg_text_is_escaped(tmp_path, command, scenario, title):
+    """A scenario name with XML markup characters still gives a
+    well-formed path.svg whose title reads the name as written."""
+    name = "plate <A> & B"
+    doc = json.loads(bundled_path(scenario).read_text())
+    doc["name"] = name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--scenario", path, "--out", tmp_path / "o"]) == 0
+    svg = minidom.parse(str(tmp_path / "o" / "path.svg"))
+    texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert f"{name}: {title}" in texts

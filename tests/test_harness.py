@@ -73,6 +73,14 @@ class TestPerturbation:
             assert math.hypot(*patch.pressure_center_offset) < patch.r0
 
 
+    @pytest.mark.parametrize("field", ["pressure_bias_sigma", "radius_jitter_sigma",
+                                       "pressure_bias_fixed"])
+    def test_negative_input_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative, got -0.001$"):
+            PerturbationModel(**{field: -0.001})
+        assert getattr(PerturbationModel(**{field: 0.0}), field) == 0.0
+
+
 class TestSinglePulseEval:
     def test_model_equals_plant_when_unperturbed(self):
         rep = run_single_pulse_eval(n_trials=20, n_steps=25, seed=5)

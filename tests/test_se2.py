@@ -17,6 +17,8 @@ from vib2move.se2 import (
     wrap_angle,
 )
 
+from conftest import fmod_wrap_angle
+
 coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 angle = st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False)
 poses = st.builds(PoseSE2, coord, coord, angle)
@@ -42,6 +44,27 @@ def test_wrap_angle_boundary():
     assert wrap_angle(math.pi) == math.pi
     assert wrap_angle(-math.pi) == math.pi
     assert wrap_angle(0.0) == 0.0
+
+
+def _wrap_outcome(wrap, a):
+    try:
+        return repr(wrap(a))
+    except ValueError as exc:  # fmod of an infinity
+        return f"ValueError: {exc}"
+
+
+@given(st.floats())
+def test_wrap_angle_is_the_fmod_formula(a):
+    assert _wrap_outcome(wrap_angle, a) == _wrap_outcome(fmod_wrap_angle, a)
+
+
+@pytest.mark.parametrize("a", [
+    0.0, -0.0, math.pi, -math.pi,
+    math.nextafter(math.pi, math.inf), math.nextafter(-math.pi, -math.inf),
+    2.0 * math.pi, -2.0 * math.pi, 3.0 * math.pi, 1e300, math.inf, -math.inf, math.nan,
+])
+def test_wrap_angle_is_the_fmod_formula_at_edges(a):
+    assert _wrap_outcome(wrap_angle, a) == _wrap_outcome(fmod_wrap_angle, a)
 
 
 def test_compose_identity():
