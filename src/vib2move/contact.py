@@ -42,6 +42,9 @@ class ContactPatch:
             raise ValueError(f"patch radius must be positive, got {self.r0}")
         if not 0.0 < self.c <= 1.0:
             raise ValueError(f"torque constant must be in (0, 1], got {self.c}")
+        # the kernels divide by the squared torque arm
+        if not self.torque_arm * self.torque_arm > 0.0:
+            raise ValueError("torque arm r0*c must have a nonzero square")
         ox, oy = self.pressure_center_offset
         if math.hypot(ox, oy) >= self.r0:
             raise ValueError("pressure center offset must lie inside the patch")
@@ -99,6 +102,9 @@ class ObjectModel:
             raise ValueError(f"gravity must be positive, got {self.gravity}")
         if self.extents[0] <= 0.0 or self.extents[1] <= 0.0:
             raise ValueError(f"extents must be positive, got {self.extents}")
+        # the kernels square the weight; float ** would raise OverflowError
+        if not 0.0 < self.weight * self.weight < math.inf:
+            raise ValueError("weight mass*gravity must have a finite, nonzero square")
 
     @property
     def weight(self) -> float:

@@ -110,7 +110,7 @@ class PlantEnv:
                  noise: NoiseModel | None = None, rng: random.Random | None = None,
                  orientation_limits: tuple[float, float] = PlannerConfig.finger_orientation_limits,
                  record: bool = False):
-        self.state = replace(state, vibration_on=False)
+        self.state = state
         self.obj = obj
         self.noise = noise
         self.rng = rng if rng is not None else (noise.rng() if noise else random.Random(0))
@@ -139,12 +139,8 @@ class PlantEnv:
         self.n_actions += 1
 
     def pulse(self, n_steps: int, step_ds: float):
-        s = self.state
-        live = ContactState(s.finger_pose_w, s.object_pose_w, s.patch, True)
-        new_state, points = vibration_pulse(live, self.obj, PulseSpec(step_ds, n_steps),
-                                            record=self.record)
-        self.state = ContactState(new_state.finger_pose_w, new_state.object_pose_w,
-                                  new_state.patch, False)
+        self.state, points = vibration_pulse(self.state, self.obj, PulseSpec(step_ds, n_steps),
+                                             record=self.record)
         self.n_actions += 1
         return points
 
@@ -192,7 +188,7 @@ def state_from_relative(rel: PoseSE2, patch: ContactPatch,
                         finger_world: PoseSE2 = PoseSE2(0.0, 0.0, 0.0)) -> ContactState:
     """Build a world state realizing a given finger-in-object pose."""
     object_pose = compose(finger_world, inverse(rel))
-    return ContactState(finger_world, object_pose, patch, False)
+    return ContactState(finger_world, object_pose, patch)
 
 
 # the evaluation protocol's goal sampling: translation disk radius,
@@ -330,13 +326,13 @@ def run_single_pulse_eval(n_trials: int, ds: float = 1e-3, n_steps: int = 25,
         true_patch = perturb.apply(patch, rng)
         spec = PulseSpec(ds, n_steps)
         try:
-            plant_state = ContactState(finger, object_pose, true_patch, True)
-            plant_out, _ = vibration_pulse(plant_state, obj, spec, record=False)
+            plant_out, _ = vibration_pulse(ContactState(finger, object_pose, true_patch), obj, spec,
+                                           record=False)
         except ObjectDroppedError as exc:
             trials.append(TrialRecord(i, "single_pulse", PoseSE2(*contact, 0.0),
                                       False, 0.0, 0.0, 1, failure=str(exc)))
             continue
-        model_state = ContactState(finger, object_pose, patch, True)
+        model_state = ContactState(finger, object_pose, patch)
         try:
             model_out, _ = vibration_pulse(model_state, obj, spec, record=False)
         except ObjectDroppedError:

@@ -1,10 +1,11 @@
 """Quasi-static sliding rollouts under vibration pulses.
 
-Vibration acts as a binary friction switch: with vibration off the object
-sticks to the finger (relative pose frozen); with vibration on it slides,
-and each arc step moves it along the limit-surface twist direction scaled
-by the balance-selected surface size k. Pulse duration is modeled as a
-step count; there is no intrinsic timescale in the quasi-static regime.
+Vibration is a binary friction switch, and the primitive is the switch: a
+pulse (vibration_pulse) lets the object slide, each arc step moving it
+along the limit-surface twist direction scaled by the balance-selected
+surface size k; without vibration it sticks to the finger and turns with
+it (planner.primitive_reorient). Pulse duration is a step count; there is
+no intrinsic timescale in the quasi-static regime.
 """
 
 from __future__ import annotations
@@ -37,16 +38,11 @@ class MotionClass(enum.Enum):
 
 @dataclass(frozen=True)
 class ContactState:
-    """Simulated plant state: finger and object world poses plus the patch.
-
-    While vibration_on is false the relative finger-object pose is
-    invariant (sticking contact).
-    """
+    """Simulated plant state: finger and object world poses plus the patch."""
 
     finger_pose_w: PoseSE2
     object_pose_w: PoseSE2
     patch: ContactPatch
-    vibration_on: bool = False
 
 
 @dataclass(frozen=True)
@@ -65,13 +61,13 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    """Per-step rollout record; twist is None for a sticking (no-op) pulse."""
+    """Per-step record of a slide."""
 
     step_index: int
     finger_pose: PoseSE2
     object_pose: PoseSE2
-    twist: TwistSE2 | None
-    motion_class: MotionClass | None
+    twist: TwistSE2
+    motion_class: MotionClass
     k: float
 
 
@@ -181,20 +177,21 @@ def _slide(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
            stop_eps: float = -1.0, record: bool = False):
     """Kernel rollout from state: (new state, status, steps done, records).
 
-    Raises ObjectDroppedError when the pressure center leaves the object.
+    Raises ObjectDroppedError when the pressure center leaves the object,
+    and ValueError when the slide ends at a non-finite pose (a lever or
+    load too large for floating point).
     """
     status, n_done, ox, oy, oth, records = _run_kernel(state, obj, ds, n_max, stop_eps, record)
     if status == _backend.STATUS_DROPPED:
         raise ObjectDroppedError(n_done)
-    new_state = ContactState(state.finger_pose_w, PoseSE2(ox, oy, oth), state.patch,
-                             state.vibration_on)
+    if not all(map(math.isfinite, (ox, oy, oth))):
+        raise ValueError(f"slide ended at a non-finite object pose ({ox}, {oy}, {oth})")
+    new_state = ContactState(state.finger_pose_w, PoseSE2(ox, oy, oth), state.patch)
     return new_state, status, n_done, records
 
 
 def slide_step(state: ContactState, obj: ObjectModel, ds: float = DEFAULT_DS) -> ContactState:
-    """Advance one sliding step; requires vibration on. Finger pose is fixed."""
-    if not state.vibration_on:
-        raise ValueError("slide_step requires vibration_on (sticking contact otherwise)")
+    """Advance one sliding step. Finger pose is fixed."""
     return _slide(state, obj, ds, 1)[0]
 
 
@@ -202,14 +199,9 @@ def vibration_pulse(state: ContactState, obj: ObjectModel, pulse: PulseSpec,
                     record: bool = True) -> tuple[ContactState, list[TrajectoryPoint]]:
     """Apply one pulse and return the new state with its per-step trajectory.
 
-    With vibration off the state is returned unchanged with a single
-    sticking record (the relative pose is bit-identical by construction).
     With record false the kernel keeps no per-step records and the point
     list is empty; the returned state is the same either way.
     """
-    if not state.vibration_on:
-        point = TrajectoryPoint(0, state.finger_pose_w, state.object_pose_w, None, None, 0.0)
-        return state, [point] if record else []
     new_state, _, _, records = _slide(state, obj, pulse.step_ds, pulse.n_steps, record=record)
     return new_state, _points_from_records(state, records)
 
@@ -223,8 +215,6 @@ def rollout_to_rest(state: ContactState, obj: ObjectModel, ds: float = DEFAULT_D
     Starting above the contact, alignment errors grow instead and the
     rollout reports non-convergence at max_steps.
     """
-    if not state.vibration_on:
-        raise ValueError("rollout_to_rest requires vibration_on")
     final, status, n_done, records = _slide(state, obj, ds, max_steps, REST_EPS, record)
     converged = status == _backend.STATUS_REST
     if not converged:

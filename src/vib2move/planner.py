@@ -23,7 +23,8 @@ the dominant unmodeled error source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 
 from . import _backend
 from ._reference import match_cost
@@ -108,6 +109,24 @@ class PlannerConfig:
     observation_blend: float = 0.4
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            pair = f.name in ("pi_gains", "finger_orientation_limits")
+            if pair and not (isinstance(value, tuple) and len(value) == 2):
+                raise ValueError(f"{f.name} must be a pair of numbers, got {value!r}")
+            count = f.name in ("max_actions_per_stage", "max_pulse_steps")
+            for v in value if pair else (value,):
+                if (isinstance(v, bool) or not isinstance(v, int if count else (int, float))
+                        or not abs(v) <= sys.float_info.max):
+                    kind = "an integer" if count else "a finite number"
+                    raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+                if v < 0 and f.name != "finger_orientation_limits":
+                    raise ValueError(f"{f.name} must be nonnegative, got {value!r}")
+        # the loop counts these down, steps by them, compares against or divides by them
+        for name in ("max_actions_per_stage", "max_pulse_steps", "step_ds", "r_theta_error",
+                     "stage3_drift_budget", "pressure_uncertainty_floor"):
+            if getattr(self, name) == 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.r_error <= REST_EPS:
             raise ValueError("r_error must exceed the rest alignment tolerance")
         lo, hi = self.finger_orientation_limits
@@ -115,11 +134,6 @@ class PlannerConfig:
             raise ValueError("finger orientation limits must satisfy lo < hi")
         if not 0.0 < self.lever_angle_stage3 < math.pi / 2:
             raise ValueError("stage-3 lever angle must be in (0, pi/2)")
-        if not self.step_ds > 0.0:
-            raise ValueError(f"step_ds must be positive, got {self.step_ds!r}")
-        for name in ("max_pulse_steps", "max_actions_per_stage"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +197,7 @@ def primitive_reorient(state: ContactState, target_theta: float,
     center = state.finger_pose_w.position
     return ContactState(rotate_pose_about(state.finger_pose_w, center, dphi),
                         rotate_pose_about(state.object_pose_w, center, dphi),
-                        state.patch, state.vibration_on)
+                        state.patch)
 
 
 def _bearing_target(state: ContactState, world_point: tuple[float, float]) -> float:
@@ -488,7 +502,7 @@ def check_reachability(finger_pose: PoseSE2, object_pose: PoseSE2,
     obj = problem.obj
     goal = problem.goal_rel
     rel = relative_pose(finger_pose, object_pose)
-    belief = ContactState(finger_pose, object_pose, problem.patch, False)
+    belief = ContactState(finger_pose, object_pose, problem.patch)
 
     # a goal that is already met needs no motion at all
     if _goal_met(rel, goal, config):
@@ -615,7 +629,7 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
     belief_patch = replace(nominal, pressure_center_offset=pi.pressure_center_estimate)
 
     def belief_state() -> ContactState:
-        return ContactState(env.finger_pose(), obs, belief_patch, False)
+        return ContactState(env.finger_pose(), obs, belief_patch)
 
     def residual(stage: int, belief: ContactState) -> float:
         if stage == 1:
@@ -750,7 +764,7 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
             actions.append(ActionRecord(
                 stage=stage, kind="observe", observed_object_pose=new_obs,
                 residual=residual(stage, ContactState(
-                    belief.finger_pose_w, filtered, belief.patch, False))))
+                    belief.finger_pose_w, filtered, belief.patch))))
 
             ex_world = _pressure_error_from_pulse(belief, obj, ds_pulse, n_steps,
                                                   predicted, new_obs)

@@ -49,9 +49,9 @@ def _number(value, key: str, positive: bool = False, integer: bool = False):
     return value
 
 
-def _magnitude(value, key: str):
-    """_number that also rejects negatives: a sigma or an offset size."""
-    if _number(value, key) < 0:
+def _magnitude(value, key: str, **kwargs):
+    """_number that also rejects negatives: a sigma, a gain or a tolerance."""
+    if _number(value, key, **kwargs) < 0:
         raise ScenarioError(f"{key} must be a nonnegative number, got {value!r}")
     return value
 
@@ -100,7 +100,6 @@ class Scenario:
     goal_rel: PoseSE2
     finger_world: PoseSE2
     noise: NoiseModel
-    perturbation: PerturbationModel
     planner: PlannerConfig
     name: str
 
@@ -109,9 +108,8 @@ class Scenario:
 
 
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
-    _check_keys(doc, {"object", "patch", "initial_rel_mm_deg", "goal_rel_mm_deg",
-                      "finger_world_mm_deg", "gravity_mps2", "noise", "perturbation",
-                      "planner", "name"}, "scenario")
+    _check_keys(doc, {"object", "patch", "initial_rel_mm_deg", "goal_rel_mm_deg", "name",
+                      "finger_world_mm_deg", "gravity_mps2", "noise", "planner"}, "scenario")
     try:
         ob = doc["object"]
         _check_keys(ob, {"mass_g", "extents_mm", "com_offset_mm"}, "object")
@@ -131,13 +129,11 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         goal = _pose_mm_deg(doc["goal_rel_mm_deg"], "goal_rel_mm_deg")
         finger = _pose_mm_deg(doc.get("finger_world_mm_deg", [0, 0, 0]), "finger_world_mm_deg")
         noise = _parse_noise(doc.get("noise", {}))
-        perturb = _parse_perturbation(doc.get("perturbation", {}))
         planner = _parse_planner(doc.get("planner", {}))
     except KeyError as exc:
         raise ScenarioError(f"missing required key {exc} in scenario") from exc
     return Scenario(obj=obj, patch=patch, initial_rel=initial, goal_rel=goal,
-                    finger_world=finger, noise=noise, perturbation=perturb,
-                    planner=planner, name=doc.get("name", name))
+                    finger_world=finger, noise=noise, planner=planner, name=doc.get("name", name))
 
 
 def _parse_noise(block: dict) -> NoiseModel:
@@ -186,11 +182,13 @@ def _parse_planner(block: dict) -> PlannerConfig:
         if key == "finger_limits_rad":
             kwargs["finger_orientation_limits"] = tuple(_numbers(value, where, 2))
         elif key in _GAIN_KEYS:
-            gains[_GAIN_KEYS.index(key)] = _number(value, where)
+            gains[_GAIN_KEYS.index(key)] = _magnitude(value, where)
             kwargs["pi_gains"] = tuple(gains)
         else:
             attr, scale = _PLANNER_KEYS[key]
-            kwargs[attr] = _number(value, where, integer=key == "max_actions_per_stage") * scale
+            # signs are checked here, in file units, so the error quotes the file value
+            kwargs[attr] = _magnitude(value, where, positive=key == "r_theta_error_deg",
+                                      integer=key == "max_actions_per_stage") * scale
     return _build(PlannerConfig, "planner", **kwargs)
 
 
@@ -215,11 +213,6 @@ def scenario_to_doc(s: Scenario) -> dict:
             "pos_sigma_mm": s.noise.pos_sigma / MM,
             "angle_sigma_deg": math.degrees(s.noise.angle_sigma),
             "seed": s.noise.seed,
-        },
-        "perturbation": {
-            "pressure_bias_sigma_mm": s.perturbation.pressure_bias_sigma / MM,
-            "radius_jitter_sigma_mm": s.perturbation.radius_jitter_sigma / MM,
-            "pressure_bias_fixed_mm": s.perturbation.pressure_bias_fixed / MM,
         },
     }
     planner = doc["planner"] = dict(zip(_GAIN_KEYS, s.planner.pi_gains))

@@ -102,8 +102,7 @@ def plot_pulse_path(points, out_path, title="slide path"):
     canvas = SvgCanvas()
     canvas.set_bounds(min(x for x, _ in xy), max(x for x, _ in xy),
                       min(y for _, y in xy), max(y for _, y in xy))
-    canvas.colored_path(xy, [CLASS_COLORS.get(p.motion_class.value if p.motion_class else "",
-                                              "#999999") for p in points])
+    canvas.colored_path(xy, [CLASS_COLORS[p.motion_class.value] for p in points])
     canvas.circle(*xy[0], 4, fill="#444444")
     canvas.text(canvas.margin, canvas.height - 14,
                 "pink: near-rotational, blue: translational", size=11)

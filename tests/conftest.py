@@ -2,9 +2,27 @@ import math
 
 import pytest
 
+from vib2move import _backend, _reference
 from vib2move.contact import ContactPatch, ObjectModel
 from vib2move.integrator import ContactState
 from vib2move.se2 import PoseSE2
+
+try:
+    from vib2move import _native
+except ImportError:
+    _native = None
+
+# every importable kernel module; a test over these runs the Python
+# kernel on every install and the compiled one wherever it is built
+KERNELS = [pytest.param(_reference, id="python")]
+if _native is not None:
+    KERNELS.append(pytest.param(_native, id="native"))
+
+
+def select_kernel(monkeypatch, kernel):
+    """Route every kernel call of the package through the given module."""
+    monkeypatch.setattr(_backend, "rollout_core", kernel.rollout_core)
+    monkeypatch.setattr(_backend, "rollout_grid", kernel.rollout_grid)
 
 
 def fmod_wrap_angle(a):
@@ -25,8 +43,7 @@ def plate():
     return ObjectModel(mass=0.09, extents=(0.09, 0.15))
 
 
-def state_with_contact_at(patch, contact_obj_frame, theta_o=0.0, vibration_on=True,
-                          finger=PoseSE2(0, 0, 0)):
+def state_with_contact_at(patch, contact_obj_frame, theta_o=0.0, finger=PoseSE2(0, 0, 0)):
     """Place the object so its given object-frame point sits at the finger.
 
     Assumes a centered pressure offset; convenient for constructing states
@@ -35,14 +52,12 @@ def state_with_contact_at(patch, contact_obj_frame, theta_o=0.0, vibration_on=Tr
     px, py = contact_obj_frame
     c, s = math.cos(theta_o), math.sin(theta_o)
     obj_pose = PoseSE2(finger.x - (c * px - s * py), finger.y - (s * px + c * py), theta_o)
-    return ContactState(finger, obj_pose, patch, vibration_on)
+    return ContactState(finger, obj_pose, patch)
 
 
 @pytest.fixture
 def kernel_spy(monkeypatch):
     """Record (record flag, records returned) for every kernel call."""
-    from vib2move import _backend
-
     real = _backend.rollout_core
     calls = []
 

@@ -152,7 +152,7 @@ def test_criterion_5_equilibrium_convergence_and_instability():
         nudged = ContactState(st.finger_pose_w,
                               PoseSE2(st.object_pose_w.x + 1e-6, st.object_pose_w.y,
                                       st.object_pose_w.theta),
-                              PATCH, True)
+                              PATCH)
         res = rollout_to_rest(nudged, obj, ds=1e-4, max_steps=150, record=False)
         assert not res.converged
         assert abs(lever_x(res.state, obj)) > 1e-5

@@ -36,18 +36,7 @@ from vib2move.integrator import (
 from vib2move.planner import _pressure_error_from_pulse
 from vib2move.se2 import PoseSE2, apply_twist, wrap_angle
 
-from conftest import fmod_wrap_angle, state_with_contact_at
-
-try:
-    from vib2move import _native
-except ImportError:
-    _native = None
-
-# every importable kernel module; a test over these runs the Python
-# kernel on every install and the compiled one wherever it is built
-KERNELS = [pytest.param(_reference, id="python")]
-if _native is not None:
-    KERNELS.append(pytest.param(_native, id="native"))
+from conftest import KERNELS, _native, fmod_wrap_angle, select_kernel, state_with_contact_at
 
 
 def random_args(rng, n_steps, record):
@@ -229,8 +218,7 @@ def test_non_finite_input_rejected_on_every_kernel(kernel, monkeypatch):
     """Every kernel entry rejects a non-finite pose or offset value, and a
     ds that is not finite and positive, by name before the kernel runs,
     whichever kernel is selected."""
-    monkeypatch.setattr(_backend, "rollout_core", kernel.rollout_core)
-    monkeypatch.setattr(_backend, "rollout_grid", kernel.rollout_grid)
+    select_kernel(monkeypatch, kernel)
     obj = ObjectModel(mass=0.09, extents=(0.09, 0.15))
     patch = ContactPatch(r0=_R0)
     state = state_with_contact_at(patch, (0.01, 0.02))

@@ -11,6 +11,8 @@ import pytest
 from vib2move.cli import main
 from vib2move.scenario import bundled_path
 
+from conftest import KERNELS, select_kernel
+
 
 GOLDEN_TRIALS = Path(__file__).parent / "data" / "golden_eval_noisy_seed7_trials.csv"
 
@@ -124,6 +126,18 @@ class TestEvaluate:
         assert ma.keys() == mb.keys()
         assert ma != mb
 
+    def test_seed_defaults_to_config_noise_seed(self, tmp_path):
+        doc = json.loads(bundled_path("eval_noise_free").read_text())
+        doc["noise"]["seed"] = 7
+        doc["n_trials"] = 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        run(["evaluate", "--config", cfg, "--out", tmp_path / "a"])
+        run(["evaluate", "--config", cfg, "--seed", 7, "--out", tmp_path / "b"])
+        run(["evaluate", "--config", cfg, "--seed", 0, "--out", tmp_path / "c"])
+        trials = [(tmp_path / d / "trials.csv").read_bytes() for d in "abc"]
+        assert trials[0] == trials[1] != trials[2]
+
     def test_seeded_runs_byte_identical(self, tmp_path):
         run(["evaluate", "--config", "eval_noise_free", "--seed", 5, "--out", tmp_path / "a"])
         run(["evaluate", "--config", "eval_noise_free", "--seed", 5, "--out", tmp_path / "b"])
@@ -152,7 +166,8 @@ class TestBadStepInputs:
         assert _error_lines(caplog) == ["--n-steps must be zero or more, got -5"]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key, value", [("step_ds", -0.001), ("max_actions_per_stage", 0)])
+    @pytest.mark.parametrize("key, value", [("step_ds", -0.001), ("max_actions_per_stage", 0),
+                                            ("r_theta_error_deg", -1)])
     def test_planner_value_rejected_before_planning(self, tmp_path, caplog, key, value):
         doc = json.loads(bundled_path("demo_plan").read_text())
         doc.setdefault("planner", {})[key] = value
@@ -191,6 +206,27 @@ class TestBadStepInputs:
         [msg] = _error_lines(caplog)
         assert "objects[0].mass_g" in msg and "nan" in msg and "\n" not in msg
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("path, value, words", [
+        (("object", "mass_g"), 1e-300, "mass*gravity"),
+        (("patch", "c"), 1e-300, "r0*c"),
+        (("object", "com_offset_mm"), [1e308, 0.0], "non-finite object pose"),
+    ], ids=["weight_underflow", "torque_arm_underflow", "huge_lever"])
+    def test_degenerate_physics_fails_in_one_line(self, tmp_path, caplog, monkeypatch,
+                                                  kernel, path, value, words):
+        """Values the kernels cannot square or that take the pose out of
+        floating point end the run with one error line on every kernel,
+        not a traceback or NaN rows."""
+        select_kernel(monkeypatch, kernel)
+        doc = json.loads(bundled_path("demo_pulse").read_text())
+        doc[path[0]][path[1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["predict", "--scenario", bad, "--out", tmp_path / "o"]) == 1
+        [msg] = _error_lines(caplog)
+        assert words in msg and "\n" not in msg
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("key, value", [("step_ds", 0), ("pulse_steps", -5), ("n_trials", 0)])
     def test_eval_config_value_rejected(self, tmp_path, caplog, key, value):

@@ -42,6 +42,10 @@ class TestLimitSurface:
         with pytest.raises(ValueError):
             ContactPatch(r0=r0, c=c)
 
+    def test_rejects_torque_arm_whose_square_underflows(self):
+        with pytest.raises(ValueError, match=r"torque arm r0\*c"):
+            ContactPatch(r0=0.015, c=1e-300)
+
     def test_rejects_offset_outside_patch(self):
         with pytest.raises(ValueError):
             ContactPatch(r0=0.015, c=0.6, pressure_center_offset=(0.02, 0.0))
@@ -205,3 +209,9 @@ def test_object_model_validation():
         ObjectModel(mass=0.09, extents=(0.09, 0.15), gravity=0.0)
     with pytest.raises(ValueError):
         ObjectModel(mass=0.09, extents=(0.0, 0.15))
+
+
+@pytest.mark.parametrize("mass", [1e-303, 1e200])
+def test_object_model_rejects_weight_whose_square_leaves_float(mass):
+    with pytest.raises(ValueError, match=r"weight mass\*gravity"):
+        ObjectModel(mass=mass, extents=(0.09, 0.15))

@@ -30,11 +30,6 @@ def random_inner_state(patch, rng, theta=None):
 
 
 class TestSlideStep:
-    def test_requires_vibration(self, paper_patch, plate):
-        st = state_with_contact_at(paper_patch, (0, 0.02), vibration_on=False)
-        with pytest.raises(ValueError):
-            slide_step(st, plate)
-
     def test_straight_descent_when_com_hangs_below(self, paper_patch, plate):
         st = state_with_contact_at(paper_patch, (0.0, 0.03))  # com below contact
         out = slide_step(st, plate, ds=1e-3)
@@ -76,17 +71,6 @@ class TestSlideStep:
 
 
 class TestVibrationPulse:
-    def test_sticking_is_identity(self, paper_patch, plate):
-        st = state_with_contact_at(paper_patch, (0.01, 0.02), vibration_on=False)
-        rel0 = relative_pose(st.finger_pose_w, st.object_pose_w)
-        out = st
-        for _ in range(5):
-            out, traj = vibration_pulse(out, plate, PulseSpec(1e-3, 50))
-            assert len(traj) == 1
-            assert traj[0].motion_class is None
-        assert relative_pose(out.finger_pose_w, out.object_pose_w) == rel0
-        assert out.object_pose_w == st.object_pose_w
-
     def test_single_step_pulse_matches_slide_step(self, paper_patch, plate):
         st = state_with_contact_at(paper_patch, (0.012, 0.025))
         a = slide_step(st, plate, ds=1e-3)
@@ -134,16 +118,12 @@ class TestVibrationPulse:
             assert repr(out) == repr(recorded)
         assert drops < 40
 
-    def test_unrecorded_sticking_pulse(self, paper_patch, plate):
-        st = state_with_contact_at(paper_patch, (0.01, 0.02), vibration_on=False)
-        assert vibration_pulse(st, plate, PulseSpec(1e-3, 10), record=False) == (st, [])
-
     def test_translation_invariance(self, paper_patch, plate):
         st = state_with_contact_at(paper_patch, (0.015, 0.02), theta_o=0.2)
         shifted = ContactState(
             PoseSE2(st.finger_pose_w.x + 0.37, st.finger_pose_w.y - 0.21, st.finger_pose_w.theta),
             PoseSE2(st.object_pose_w.x + 0.37, st.object_pose_w.y - 0.21, st.object_pose_w.theta),
-            st.patch, True)
+            st.patch)
         a, ta = vibration_pulse(st, plate, PulseSpec(1e-3, 300))
         b, tb = vibration_pulse(shifted, plate, PulseSpec(1e-3, 300))
         ra = relative_pose(a.finger_pose_w, a.object_pose_w)
@@ -207,15 +187,10 @@ class TestRolloutToRest:
         nudged = ContactState(
             st.finger_pose_w,
             PoseSE2(st.object_pose_w.x + 1e-6, st.object_pose_w.y, st.object_pose_w.theta),
-            paper_patch, True)
+            paper_patch)
         res = rollout_to_rest(nudged, plate, ds=1e-4, max_steps=3000, record=False)
         assert not res.converged
         assert abs(lever_x(res.state, plate)) > 100 * 1e-6
-
-    def test_requires_vibration(self, paper_patch, plate):
-        st = state_with_contact_at(paper_patch, (0.0, 0.03), vibration_on=False)
-        with pytest.raises(ValueError):
-            rollout_to_rest(st, plate)
 
 
 def test_trajectory_export_fields(paper_patch, plate):
@@ -225,5 +200,4 @@ def test_trajectory_export_fields(paper_patch, plate):
         assert p.step_index == i
         assert p.finger_pose == st.finger_pose_w
         assert p.k > 0.0
-        assert p.twist is not None
         assert p.motion_class in (MotionClass.TRANSLATIONAL, MotionClass.NEAR_ROTATIONAL)

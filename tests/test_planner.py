@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -272,6 +273,24 @@ class TestPlanExecution:
             with pytest.raises(ValueError, match=next(iter(bad))):
                 PlannerConfig(**bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"r_theta_error": -1.0}, "r_theta_error must be nonnegative, got -1.0"),
+        ({"max_pulse_travel": math.nan}, "max_pulse_travel must be a finite number, got nan"),
+        ({"approach_guard": math.inf}, "approach_guard must be a finite number, got inf"),
+        ({"r_error": "5"}, "r_error must be a finite number, got '5'"),
+        ({"max_pulse_steps": True}, "max_pulse_steps must be an integer, got True"),
+        ({"max_actions_per_stage": 20.0}, "max_actions_per_stage must be an integer, got 20.0"),
+        ({"pi_gains": (0.5, -0.1)}, "pi_gains must be nonnegative, got (0.5, -0.1)"),
+        ({"pi_gains": (0.5,)}, "pi_gains must be a pair of numbers, got (0.5,)"),
+        ({"finger_orientation_limits": (-1.0, math.nan)}, "finger_orientation_limits must be a finite"),
+        ({"stage3_drift_budget": 0.0}, "stage3_drift_budget must be positive, got 0.0"),
+        ({"pressure_uncertainty_floor": 0}, "pressure_uncertainty_floor must be positive, got 0"),
+        ({"r_theta_error": 0.0}, "r_theta_error must be positive, got 0.0"),
+    ])
+    def test_config_rejects_values_it_cannot_run(self, bad, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PlannerConfig(**bad)
+
 
 def _replace_based_pressure_error(belief, obj, ds, n_steps, predicted, observed,
                                   sigma_pos=0.0015, sigma_theta=0.013):
@@ -332,7 +351,7 @@ def test_pressure_error_matches_replace_based_estimator():
         cx = rng.uniform(-0.03, 0.03) if i < 240 else rng.choice((-1, 1)) * rng.uniform(0.036, 0.044)
         belief = state_with_contact_at(
             patch, (cx, rng.uniform(-0.055, 0.055)),
-            theta_o=finger.theta + rng.uniform(-0.5, 0.5), vibration_on=False, finger=finger)
+            theta_o=finger.theta + rng.uniform(-0.5, 0.5), finger=finger)
         ds = rng.choice((2.5e-4, 1e-3))
         n_steps = rng.randint(1, 60)
         predicted = _predict_pulse(belief, obj, ds, n_steps)
@@ -367,7 +386,7 @@ def test_estimator_replays_in_one_grid_call(kernel_spy, monkeypatch):
     monkeypatch.setattr(_backend, "rollout_grid", grid_spy)
     obj = ObjectModel(mass=0.09, extents=(0.09, 0.15), com_offset=(0.004, -0.002))
     belief = state_with_contact_at(default_patch(), (0.01, -0.02), theta_o=0.3,
-                                   vibration_on=False, finger=PoseSE2(0.0, 0.0, 0.2))
+                                   finger=PoseSE2(0.0, 0.0, 0.2))
     predicted = _predict_pulse(belief, obj, 1e-3, 40)
     kernel_spy.clear()
     _pressure_error_from_pulse(belief, obj, 1e-3, 40, predicted,
@@ -400,7 +419,7 @@ def test_size_pulse_cap_matches_clipped_uncapped_sizing():
                          rng.uniform(-1.2, 1.5))
         belief = state_with_contact_at(
             patch, (rng.uniform(-0.04, 0.04), rng.uniform(-0.07, 0.07)),
-            theta_o=rng.uniform(-3.1, 3.1), vibration_on=False, finger=finger)
+            theta_o=rng.uniform(-3.1, 3.1), finger=finger)
         config = PlannerConfig(max_pulse_steps=rng.choice((300, 1200)))
         target = ("travel", "rotation", "both")[i % 3]
         stops = {
