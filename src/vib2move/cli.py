@@ -174,12 +174,11 @@ def cmd_evaluate(args) -> int:
     cfg = load_eval_config(_resolve_scenario(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = cfg.noise.seed if args.seed is None else args.seed
     docs = {}
     if cfg.mode in ("reconfigure", "both"):
         report = run_reconfiguration_eval(
             objects=cfg.objects, n_paths_per_object=cfg.n_trials, noise=cfg.noise,
-            perturb=cfg.perturbation, config=cfg.planner, seed=seed)
+            perturb=cfg.perturbation, config=cfg.planner, seed=args.seed)
         docs["reconfigure"] = report
         with open(out / "trials.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -204,7 +203,7 @@ def cmd_evaluate(args) -> int:
     if cfg.mode in ("single_pulse", "both"):
         pulse_report = run_single_pulse_eval(
             n_trials=cfg.n_trials * 10, ds=cfg.step_ds, n_steps=cfg.pulse_steps,
-            noise=cfg.noise, perturb=cfg.perturbation, seed=seed)
+            noise=cfg.noise, perturb=cfg.perturbation, seed=args.seed)
         docs["single_pulse"] = pulse_report
         log.info("single pulse: rmse %.3f mm / %.3f deg over %d trials",
                  pulse_report.rmse_pos * 1000, math.degrees(pulse_report.rmse_angle),
@@ -251,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="Monte-Carlo evaluation batch")
     p.add_argument("--config", required=True, help="eval config file or bundled name")
-    p.add_argument("--seed", type=int, default=None,
-                   help="trial seed (default: the config's noise.seed)")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out_eval", help="output directory")
     p.set_defaults(func=cmd_evaluate)
     return parser
@@ -263,7 +261,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:  # ScenarioError included
+    except ValueError as exc:  # ScenarioError included
         log.error("%s", exc)
         return 1
 

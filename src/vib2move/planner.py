@@ -81,6 +81,12 @@ class StageTimeoutError(PlanningError):
         self.residual = residual
 
 
+def is_real(value, integer: bool = False) -> bool:
+    """A finite, non-bool real number (an int when integer)."""
+    return (not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+            and abs(value) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     r_error: float = 0.005
@@ -116,8 +122,7 @@ class PlannerConfig:
                 raise ValueError(f"{f.name} must be a pair of numbers, got {value!r}")
             count = f.name in ("max_actions_per_stage", "max_pulse_steps")
             for v in value if pair else (value,):
-                if (isinstance(v, bool) or not isinstance(v, int if count else (int, float))
-                        or not abs(v) <= sys.float_info.max):
+                if not is_real(v, count):
                     kind = "an integer" if count else "a finite number"
                     raise ValueError(f"{f.name} must be {kind}, got {value!r}")
                 if v < 0 and f.name != "finger_orientation_limits":

@@ -3,22 +3,22 @@
 File surface units are millimeters and degrees (and grams for mass);
 everything internal is SI. Unknown keys are rejected so that typos in
 hand-written scenarios fail loudly, and every number must be a finite,
-non-bool real: a bad value is a ScenarioError naming its file key (and
-quoting it in file units), never a traceback or a NaN in the planner.
+non-bool real: a bad value is a ScenarioError naming its file key and
+quoting it in file units (a planner sign error names the PlannerConfig
+field, in SI), never a traceback or a NaN in the planner.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .contact import ContactPatch, ObjectModel
 from .harness import NoiseModel, PerturbationModel
-from .planner import PlannerConfig, PlanningProblem
+from .planner import PlannerConfig, PlanningProblem, is_real
 from .se2 import PoseSE2
 
 
@@ -41,17 +41,16 @@ def _number(value, key: str, positive: bool = False, integer: bool = False):
     """value unchanged if it is a finite, non-bool real number (an integer
     when integer, above zero when positive); else a ScenarioError naming
     the file key."""
-    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
-            or not abs(value) <= sys.float_info.max or (positive and not value > 0)):
+    if not is_real(value, integer) or (positive and not value > 0):
         kind = "integer" if integer else "number"
         what = "a positive" if positive else "an" if integer else "a finite"
         raise ScenarioError(f"{key} must be {what} {kind}, got {value!r}")
     return value
 
 
-def _magnitude(value, key: str, **kwargs):
-    """_number that also rejects negatives: a sigma, a gain or a tolerance."""
-    if _number(value, key, **kwargs) < 0:
+def _magnitude(value, key: str):
+    """_number that also rejects negatives: a sigma or an offset size."""
+    if _number(value, key) < 0:
         raise ScenarioError(f"{key} must be a nonnegative number, got {value!r}")
     return value
 
@@ -65,8 +64,8 @@ def _numbers(values, key: str, n: int, positive: bool = False) -> list:
 def _build(cls, where: str, **kwargs):
     """cls(**kwargs), with its ValueError re-raised as a ScenarioError.
 
-    The values are checked against the file first, so a ValueError left
-    here quotes no scaled (SI) number."""
+    Types are checked against the file first, so what is left here is a
+    rule of cls, named and quoted in its own (SI) terms."""
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -182,13 +181,11 @@ def _parse_planner(block: dict) -> PlannerConfig:
         if key == "finger_limits_rad":
             kwargs["finger_orientation_limits"] = tuple(_numbers(value, where, 2))
         elif key in _GAIN_KEYS:
-            gains[_GAIN_KEYS.index(key)] = _magnitude(value, where)
+            gains[_GAIN_KEYS.index(key)] = _number(value, where)
             kwargs["pi_gains"] = tuple(gains)
         else:
             attr, scale = _PLANNER_KEYS[key]
-            # signs are checked here, in file units, so the error quotes the file value
-            kwargs[attr] = _magnitude(value, where, positive=key == "r_theta_error_deg",
-                                      integer=key == "max_actions_per_stage") * scale
+            kwargs[attr] = _number(value, where, integer=key == "max_actions_per_stage") * scale
     return _build(PlannerConfig, "planner", **kwargs)
 
 

@@ -126,18 +126,6 @@ class TestEvaluate:
         assert ma.keys() == mb.keys()
         assert ma != mb
 
-    def test_seed_defaults_to_config_noise_seed(self, tmp_path):
-        doc = json.loads(bundled_path("eval_noise_free").read_text())
-        doc["noise"]["seed"] = 7
-        doc["n_trials"] = 2
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        run(["evaluate", "--config", cfg, "--out", tmp_path / "a"])
-        run(["evaluate", "--config", cfg, "--seed", 7, "--out", tmp_path / "b"])
-        run(["evaluate", "--config", cfg, "--seed", 0, "--out", tmp_path / "c"])
-        trials = [(tmp_path / d / "trials.csv").read_bytes() for d in "abc"]
-        assert trials[0] == trials[1] != trials[2]
-
     def test_seeded_runs_byte_identical(self, tmp_path):
         run(["evaluate", "--config", "eval_noise_free", "--seed", 5, "--out", tmp_path / "a"])
         run(["evaluate", "--config", "eval_noise_free", "--seed", 5, "--out", tmp_path / "b"])
@@ -166,8 +154,7 @@ class TestBadStepInputs:
         assert _error_lines(caplog) == ["--n-steps must be zero or more, got -5"]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key, value", [("step_ds", -0.001), ("max_actions_per_stage", 0),
-                                            ("r_theta_error_deg", -1)])
+    @pytest.mark.parametrize("key, value", [("step_ds", -0.001), ("max_actions_per_stage", 0)])
     def test_planner_value_rejected_before_planning(self, tmp_path, caplog, key, value):
         doc = json.loads(bundled_path("demo_plan").read_text())
         doc.setdefault("planner", {})[key] = value

@@ -165,12 +165,12 @@ def parse_with(tmp_path, block, key, value):
     ("planner", "kp", math.nan, r"planner\.kp"),
     ("planner", "finger_limits_rad", [-1.0, True], r"planner\.finger_limits_rad\[1\]"),
     ("planner", "max_actions_per_stage", 2.5, r"planner\.max_actions_per_stage"),
-    # signs are checked in file units, so the error quotes the file value
-    ("planner", "r_theta_error_deg", -1, r"planner\.r_theta_error_deg must be a positive number, got -1$"),
-    ("planner", "r_theta_error_deg", 0, r"planner\.r_theta_error_deg must be a positive number, got 0$"),
-    ("planner", "r_error_mm", -4.0, r"planner\.r_error_mm must be a nonnegative number, got -4\.0$"),
-    ("planner", "lever_angle_deg", -20, r"planner\.lever_angle_deg must be a nonnegative number, got -20$"),
-    ("planner", "ki", -0.1, r"planner\.ki must be a nonnegative number, got -0\.1$"),
+    # PlannerConfig owns the signs, so the error names its field and quotes SI
+    ("planner", "r_theta_error_deg", -180, r"planner: r_theta_error must be nonnegative, got -3\.14159"),
+    ("planner", "r_theta_error_deg", 0, r"planner: r_theta_error must be positive, got 0\.0$"),
+    ("planner", "r_error_mm", -4.0, r"planner: r_error must be nonnegative, got -0\.004$"),
+    ("planner", "lever_angle_deg", -20, r"planner: lever_angle_stage3 must be nonnegative, got -0\.349"),
+    ("planner", "ki", -0.1, r"planner: pi_gains must be nonnegative, got \(0\.5, -0\.1\)$"),
     ("noise", "seed", True, r"noise\.seed"),
     ("patch", "c", 1.5, r"patch: torque constant must be in \(0, 1\], got 1\.5"),
     ("patch", "r0_mm", 0, r"patch\.r0_mm must be a positive number, got 0"),
