@@ -25,7 +25,7 @@ from . import __version__
 from ._backend import BACKEND
 from .harness import PlantEnv, run_reconfiguration_eval, run_single_pulse_eval, state_from_relative
 from .integrator import ObjectDroppedError, PulseSpec, vibration_pulse
-from .planner import PlanningError, plan_and_execute
+from .planner import PlanningError, plan_and_execute, pose_error
 from .scenario import ScenarioError, bundled_path, load_eval_config, load_scenario
 from .svgplot import plot_error_distribution, plot_plan_object_frame, plot_pulse_path
 
@@ -70,9 +70,9 @@ def write_trajectory_csv(points, path: Path):
             ])
 
 
-def _actions_doc(result):
+def _actions_doc(actions):
     out = []
-    for a in result.actions:
+    for a in actions:
         rec = {"stage": a.stage, "kind": a.kind}
         if a.target_theta is not None:
             rec["target_theta_rad"] = round(a.target_theta, 9)
@@ -108,9 +108,7 @@ def cmd_predict(args) -> int:
             log.error("pulse failed: %s", exc)
             return 1
     write_trajectory_csv(points, out / "trajectory.csv")
-    if points:
-        plot_pulse_path(points, out / "path.svg",
-                        title=f"{scenario.name}: single pulse")
+    plot_pulse_path(points, out / "path.svg", title=f"{scenario.name}: single pulse")
     log.info("wrote %d trajectory rows to %s", len(points), out / "trajectory.csv")
     return 0
 
@@ -129,14 +127,14 @@ def cmd_plan(args) -> int:
     except (PlanningError, ObjectDroppedError) as exc:
         log.error("planning failed: %s", exc)
         return 1
-    write_trajectory_csv(result.trajectory, out / "trajectory.csv")
-    (out / "actions.json").write_text(json.dumps(_actions_doc(result), indent=1) + "\n")
+    write_trajectory_csv(env.points, out / "trajectory.csv")
+    (out / "actions.json").write_text(json.dumps(_actions_doc(result.actions), indent=1) + "\n")
+    rel = env.true_relative_pose()
+    err_pos, err_angle = pose_error(rel, scenario.goal_rel)
     metrics = {
-        "final_error_pos_mm": result.final_error[0] * 1000.0,
-        "final_error_angle_deg": math.degrees(result.final_error[1]),
-        "final_relative_pose_mm_deg": [result.final_relative_pose.x * 1000.0,
-                                       result.final_relative_pose.y * 1000.0,
-                                       math.degrees(result.final_relative_pose.theta)],
+        "final_error_pos_mm": err_pos * 1000.0,
+        "final_error_angle_deg": math.degrees(err_angle),
+        "final_relative_pose_mm_deg": [rel.x * 1000.0, rel.y * 1000.0, math.degrees(rel.theta)],
         "n_actions": len(result.actions),
         "stages": {str(s): {"iterations": lg.iterations,
                             "entry_residual": lg.entry_residual,
@@ -144,7 +142,7 @@ def cmd_plan(args) -> int:
                    for s, lg in result.stage_logs.items()},
     }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
-    plot_plan_object_frame(result, scenario.goal_rel, out / "path.svg",
+    plot_plan_object_frame(env.points, result.actions, scenario.goal_rel, out / "path.svg",
                            title=f"{scenario.name}: three-stage plan")
     log.info("plan done: %.2f mm / %.2f deg final error, %d actions",
              metrics["final_error_pos_mm"], metrics["final_error_angle_deg"],

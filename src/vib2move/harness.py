@@ -24,6 +24,7 @@ from .planner import (
     _goal_met,
     check_reachability,
     plan_and_execute,
+    pose_error,
     primitive_reorient,
 )
 from .se2 import PoseSE2, compose, inverse, relative_pose, wrap_angle
@@ -97,13 +98,13 @@ class PlantEnv:
 
     Holds the true state (with the possibly perturbed patch), enforces the
     finger orientation limits like the robot would (by default the
-    PlannerConfig window), serves noisy observations and, for scoring
-    only, the true object pose. n_actions counts the observe, reorient
-    and pulse calls that completed, one per action a plan logs.
+    PlannerConfig window) and serves noisy observations. n_actions counts
+    the observe, reorient and pulse calls that completed, one per action a
+    plan logs.
 
-    pulse() returns the per-step trajectory points only when the env was
-    built with record=True; otherwise it returns an empty list, which is
-    all a caller that only scores the final pose needs.
+    The truth stays here, for the env's owner: true_relative_pose() to
+    score the outcome, and points, the per-step trajectory of every pulse
+    in order, which stays empty unless the env was built with record=True.
     """
 
     def __init__(self, state: ContactState, obj: ObjectModel,
@@ -116,6 +117,7 @@ class PlantEnv:
         self.rng = rng if rng is not None else (noise.rng() if noise else random.Random(0))
         self.orientation_limits = orientation_limits
         self.record = record
+        self.points = []
         self.n_actions = 0
 
     def finger_pose(self) -> PoseSE2:
@@ -128,9 +130,6 @@ class PlantEnv:
             return true
         return observe(true, self.noise, self.rng)
 
-    def true_object_pose(self) -> PoseSE2:
-        return self.state.object_pose_w
-
     def true_relative_pose(self) -> PoseSE2:
         return relative_pose(self.state.finger_pose_w, self.state.object_pose_w)
 
@@ -138,11 +137,11 @@ class PlantEnv:
         self.state = primitive_reorient(self.state, target_theta, self.orientation_limits)
         self.n_actions += 1
 
-    def pulse(self, n_steps: int, step_ds: float):
+    def pulse(self, n_steps: int, step_ds: float) -> None:
         self.state, points = vibration_pulse(self.state, self.obj, PulseSpec(step_ds, n_steps),
                                              record=self.record)
+        self.points += points
         self.n_actions += 1
-        return points
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +268,6 @@ class MetricsReport:
     trials: tuple[TrialRecord, ...]
     per_object: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.rmse_pos < 0.0 or self.rmse_angle < 0.0:
-            raise ValueError("rmse must be nonnegative")
-
 
 def _rmse(values) -> float:
     vals = list(values)
@@ -338,10 +333,8 @@ def run_single_pulse_eval(n_trials: int, ds: float = 1e-3, n_steps: int = 25,
         except ObjectDroppedError:
             model_out = model_state
         measured_obj = observe(plant_out.object_pose_w, noise, rng)
-        rel_meas = relative_pose(finger, measured_obj)
-        rel_pred = relative_pose(finger, model_out.object_pose_w)
-        err_pos = math.hypot(rel_meas.x - rel_pred.x, rel_meas.y - rel_pred.y)
-        err_ang = abs(wrap_angle(rel_meas.theta - rel_pred.theta))
+        err_pos, err_ang = pose_error(relative_pose(finger, measured_obj),
+                                      relative_pose(finger, model_out.object_pose_w))
         trials.append(TrialRecord(i, "single_pulse", PoseSE2(*contact, 0.0),
                                   True, err_pos, err_ang, 1))
     return MetricsReport(**_summarize(trials, max(obj.extents)), trials=tuple(trials))
@@ -357,9 +350,10 @@ def run_reconfiguration_eval(objects: list[dict] | None = None,
 
     Per trial: sample a grasp and a feasible goal, perturb the plant
     patch, run the planner under observation noise, and score the true
-    final relative pose against the goal. Failures (drops, timeouts,
-    orientation limits) are recorded, count against the success rate, and
-    are excluded from the RMSE aggregates.
+    final relative pose against the goal, whether the plan returned or
+    raised. Failures (drops, timeouts, orientation limits) are recorded,
+    count against the success rate, and are excluded from the RMSE
+    aggregates.
     """
     objects = objects if objects is not None else default_objects()
     noise = noise or NoiseModel(0.0, 0.0)
@@ -392,21 +386,14 @@ def run_reconfiguration_eval(objects: list[dict] | None = None,
             state = state_from_relative(rel0, true_patch)
             env = PlantEnv(state, obj, noise=noise, rng=rng,
                            orientation_limits=config.finger_orientation_limits)
-            problem = PlanningProblem(goal, obj, patch)
+            failure = None
             try:
-                result = plan_and_execute(problem, env, config)
+                plan_and_execute(PlanningProblem(goal, obj, patch), env, config)
             except (PlanningError, ObjectDroppedError) as exc:
-                rel = env.true_relative_pose()
-                obj_trials.append(TrialRecord(
-                    index, entry["name"], goal, False,
-                    math.hypot(rel.x - goal.x, rel.y - goal.y),
-                    abs(wrap_angle(rel.theta - goal.theta)),
-                    env.n_actions, failure=f"{type(exc).__name__}: {exc}"))
-                index += 1
-                continue
-            obj_trials.append(TrialRecord(
-                index, entry["name"], goal, True,
-                result.final_error[0], result.final_error[1], env.n_actions))
+                failure = f"{type(exc).__name__}: {exc}"
+            obj_trials.append(TrialRecord(index, entry["name"], goal, failure is None,
+                                          *pose_error(env.true_relative_pose(), goal),
+                                          env.n_actions, failure=failure))
             index += 1
         per_object[entry["name"]] = _summarize(obj_trials, max(obj.extents))
         per_object[entry["name"]].update(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import _backend
 from .contact import ContactPatch, ObjectModel
-from .se2 import PoseSE2, TwistSE2, transform_point
+from .se2 import PoseSE2, transform_point
 
 DEFAULT_DS = 1e-3
 REST_EPS = 1e-5
@@ -63,10 +63,8 @@ class PulseSpec:
 class TrajectoryPoint:
     """Per-step record of a slide."""
 
-    step_index: int
     finger_pose: PoseSE2
     object_pose: PoseSE2
-    twist: TwistSE2
     motion_class: MotionClass
     k: float
 
@@ -89,19 +87,22 @@ def com_world(object_pose: PoseSE2, obj: ObjectModel) -> tuple[float, float]:
     return transform_point(object_pose, obj.com_offset)
 
 
-def lever_x(state: ContactState, obj: ObjectModel) -> float:
-    """Horizontal offset x_c of the center of mass from the pressure center."""
-    return com_world(state.object_pose_w, obj)[0] - pressure_center_world(state)[0]
+def lever(state: ContactState, obj: ObjectModel) -> tuple[float, float]:
+    """World vector from the pressure center to the center of mass; its x
+    is the horizontal lever x_c."""
+    pc = pressure_center_world(state)
+    com = com_world(state.object_pose_w, obj)
+    return com[0] - pc[0], com[1] - pc[1]
 
 
-def classify_motion(twist: TwistSE2, torque_arm: float) -> MotionClass:
-    """Label a unit twist by its dominant character.
+def classify_motion(uy: float, uw: float, torque_arm: float) -> MotionClass:
+    """Label a slide step's unit twist (0, uy, uw) by its dominant character.
 
-    Near-rotational when the rotation rate, weighted by the patch torque
-    arm r0*c, exceeds NEAR_ROTATION_THRESHOLD times the translation speed.
+    Near-rotational when the rotation rate uw, weighted by the patch torque
+    arm r0*c, exceeds NEAR_ROTATION_THRESHOLD times the translation speed
+    |uy| (the slide twist has no x part).
     """
-    lin = math.hypot(twist.vx, twist.vy)
-    if abs(twist.omega) * torque_arm > NEAR_ROTATION_THRESHOLD * lin:
+    if abs(uw) * torque_arm > NEAR_ROTATION_THRESHOLD * abs(uy):
         return MotionClass.NEAR_ROTATIONAL
     return MotionClass.TRANSLATIONAL
 
@@ -159,18 +160,9 @@ def _run_kernel(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
 
 def _points_from_records(state: ContactState, records) -> list[TrajectoryPoint]:
     arm = state.patch.torque_arm
-    points = []
-    for j, (ox, oy, oth, uy, uw, k, _xc) in enumerate(records, start=1):
-        twist = TwistSE2(0.0, uy, uw)
-        points.append(TrajectoryPoint(
-            step_index=j,
-            finger_pose=state.finger_pose_w,
-            object_pose=PoseSE2(ox, oy, oth),
-            twist=twist,
-            motion_class=classify_motion(twist, arm),
-            k=k,
-        ))
-    return points
+    return [TrajectoryPoint(state.finger_pose_w, PoseSE2(ox, oy, oth),
+                            classify_motion(uy, uw, arm), k)
+            for ox, oy, oth, uy, uw, k, _xc in records]
 
 
 def _slide(state: ContactState, obj: ObjectModel, ds: float, n_max: int,

@@ -32,10 +32,10 @@ from .contact import ContactPatch, ObjectModel
 from .integrator import (
     REST_EPS,
     ContactState,
-    TrajectoryPoint,
     _kernel_args,
     _run_kernel,
     com_world,
+    lever,
     pressure_center_world,
 )
 from .se2 import PoseSE2, compose, invert_point, relative_pose, rotate_pose_about, wrap_angle
@@ -168,11 +168,10 @@ class StageLog:
 
 @dataclass
 class PlanResult:
+    """What the planner did and believed; the true outcome is the plant's."""
+
     actions: list[ActionRecord]
-    trajectory: list[TrajectoryPoint]
-    final_error: tuple[float, float]
     stage_logs: dict[int, StageLog]
-    final_relative_pose: PoseSE2
 
 
 @dataclass(frozen=True)
@@ -385,17 +384,16 @@ def _clamp_target(target: float, limits: tuple[float, float], slack: float,
         f"{what} needs finger orientation {target:.3f} outside limits {limits}")
 
 
-def _lever(state: ContactState, obj: ObjectModel) -> tuple[float, float]:
-    """World vector from the pressure center to the center of mass."""
-    pc = pressure_center_world(state)
-    com = com_world(state.object_pose_w, obj)
-    return com[0] - pc[0], com[1] - pc[1]
+def pose_error(rel: PoseSE2, goal: PoseSE2) -> tuple[float, float]:
+    """(position, angle) error of the relative pose rel against goal."""
+    return (math.hypot(rel.x - goal.x, rel.y - goal.y),
+            abs(wrap_angle(rel.theta - goal.theta)))
 
 
 def _goal_met(rel: PoseSE2, goal: PoseSE2, config: PlannerConfig) -> bool:
     """The relative pose rel lies within both contract radii of goal."""
-    return (math.hypot(rel.x - goal.x, rel.y - goal.y) < config.r_error
-            and abs(wrap_angle(rel.theta - goal.theta)) < config.r_theta_error)
+    err_pos, err_angle = pose_error(rel, goal)
+    return err_pos < config.r_error and err_angle < config.r_theta_error
 
 
 def _lever_windows(theta: float, bearing: float, e_theta: float, config: PlannerConfig):
@@ -436,7 +434,7 @@ def _stage3_candidates(state: ContactState, obj: ObjectModel, e_theta: float,
     per radian is a3^2/|x_c|, so bigger levers drift less), but never
     below the configured default when that fits.
     """
-    dx, dy = _lever(state, obj)
+    dx, dy = lever(state, obj)
     d = math.hypot(dx, dy)
     if d < REST_EPS:
         raise SingularityError("no gravity lever: center of mass sits on the contact")
@@ -473,7 +471,7 @@ def _stage3_target(belief: ContactState, obj: ObjectModel, goal: PoseSE2,
     if not candidates:
         raise OrientationLimitError(
             "stage 3 lever placements all violate the finger orientation limits")
-    d = math.hypot(*_lever(belief, obj))
+    d = math.hypot(*lever(belief, obj))
     a3 = belief.patch.torque_arm
     want_xc = a3 * a3 * abs(e_ref) / config.stage3_drift_budget
 
@@ -513,7 +511,7 @@ def check_reachability(finger_pose: PoseSE2, object_pose: PoseSE2,
     if _goal_met(rel, goal, config):
         return
 
-    if math.hypot(*_lever(belief, obj)) >= config.r_error:
+    if math.hypot(*lever(belief, obj)) >= config.r_error:
         t1 = subgoal_centering(belief, obj)
         if not _in_limits(t1, window):
             raise OrientationLimitError(
@@ -588,15 +586,13 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
     The environment owns the true plant; the planner only sees the exact
     finger pose, noisy object observations, and its own nominal models.
     Environment contract: finger_pose() -> PoseSE2, observe() -> PoseSE2,
-    true_object_pose() -> PoseSE2 (read only to report the final error),
-    reorient(target_theta), and pulse(n_steps, step_ds) -> trajectory
-    points (an empty list when the env does not record; the plan's
-    trajectory is then empty too).
+    reorient(target_theta) and pulse(n_steps, step_ds). The planner reads
+    no true object pose: the env's owner scores the outcome and keeps any
+    slide path.
     """
     config = config or PlannerConfig()
     obj, goal, nominal = scenario.obj, scenario.goal_rel, scenario.patch
     actions: list[ActionRecord] = []
-    trajectory: list[TrajectoryPoint] = []
     stage_logs: dict[int, StageLog] = {}
     pi = PiState(pressure_center_estimate=nominal.pressure_center_offset)
 
@@ -604,20 +600,9 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
     actions.append(ActionRecord(stage=0, kind="observe", observed_object_pose=obs))
     check_reachability(env.finger_pose(), obs, scenario, config, capability=False)
 
-    def _final_result() -> PlanResult:
-        rel = relative_pose(env.finger_pose(), env.true_object_pose())
-        return PlanResult(
-            actions=actions,
-            trajectory=trajectory,
-            final_error=(math.hypot(rel.x - goal.x, rel.y - goal.y),
-                         abs(wrap_angle(rel.theta - goal.theta))),
-            stage_logs=stage_logs,
-            final_relative_pose=rel,
-        )
-
     # a goal already satisfied within both radii needs no actions at all
     if _goal_met(relative_pose(env.finger_pose(), obs), goal, config):
-        return _final_result()
+        return PlanResult(actions, stage_logs)
 
     # distrust of the pressure-center estimate, shrunk by consistent pulse
     # observations; it caps slide lengths so an unlearned bias cannot
@@ -638,13 +623,12 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
 
     def residual(stage: int, belief: ContactState) -> float:
         if stage == 1:
-            return math.hypot(*_lever(belief, obj))
+            return math.hypot(*lever(belief, obj))
         if stage == 2:
             goal_w = compose(belief.object_pose_w, goal)
             f = belief.finger_pose_w
             return math.hypot(goal_w.x - f.x, goal_w.y - f.y)
-        rel = relative_pose(belief.finger_pose_w, belief.object_pose_w)
-        return abs(wrap_angle(rel.theta - goal.theta))
+        return pose_error(relative_pose(belief.finger_pose_w, belief.object_pose_w), goal)[1]
 
     def stage_done(stage: int, belief: ContactState) -> bool:
         if stage == 1:
@@ -737,7 +721,7 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
                     # settles it back under the contact, wasting relative
                     # rotation; keep each leg short enough that the settle
                     # stays inside budget
-                    dx, dy = _lever(belief, obj)
+                    dx, dy = lever(belief, obj)
                     mism = abs(wrap_angle(math.atan2(dy, dx) + math.pi / 2))
                     waste_rate = math.hypot(dx, dy) * math.sin(min(mism, math.pi / 2))
                     if waste_rate > 1e-9:
@@ -760,8 +744,7 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
                                       stop_rot=dtheta, stop_travel=config.stage3_travel_guard)
 
             predicted = _predict_pulse(belief, obj, ds_pulse, n_steps)
-            points = env.pulse(n_steps, ds_pulse)
-            trajectory.extend(points)
+            env.pulse(n_steps, ds_pulse)
             actions.append(ActionRecord(stage=stage, kind="pulse", n_steps=n_steps))
 
             new_obs = env.observe()
@@ -786,4 +769,4 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
             log.iterations += 1
         log.exit_residual = residual(stage, belief_state())
 
-    return _final_result()
+    return PlanResult(actions, stage_logs)

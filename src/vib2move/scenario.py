@@ -259,8 +259,9 @@ def load_eval_config(path: str | Path) -> EvalConfig:
         raise ScenarioError(f"unknown mode {mode!r} in eval config")
     objects = None
     if "objects" in doc:
-        if not isinstance(doc["objects"], list):
-            raise ScenarioError(f"objects in eval config must be a list, got {doc['objects']!r}")
+        if not (isinstance(doc["objects"], list) and doc["objects"]):
+            raise ScenarioError(
+                f"objects in eval config must be a nonempty list, got {doc['objects']!r}")
         objects = []
         for i, ob in enumerate(doc["objects"]):
             where = f"objects[{i}]"
@@ -269,11 +270,12 @@ def load_eval_config(path: str | Path) -> EvalConfig:
                 model = _object_model(ob, where)
             except KeyError as exc:
                 raise ScenarioError(f"missing required key {exc} in {where}") from exc
-            objects.append({
-                "name": ob.get("name", f"object{i + 1}"),
-                "surface": ob.get("surface", ""),
-                "model": model,
-            })
+            # per-object results are keyed and sorted by name
+            name = ob.get("name", f"object{i + 1}")
+            if not isinstance(name, str) or any(o["name"] == name for o in objects):
+                raise ScenarioError(f"{where}.name must be a string no other object has, "
+                                    f"got {name!r}")
+            objects.append({"name": name, "surface": ob.get("surface", ""), "model": model})
     return EvalConfig(
         mode=mode,
         n_trials=_number(doc.get("n_trials", 10), "n_trials", positive=True, integer=True),

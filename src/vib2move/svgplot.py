@@ -95,15 +95,15 @@ class SvgCanvas:
 
 
 def plot_pulse_path(points, out_path, title="slide path"):
-    """Object-center path during one pulse, colored by motion class."""
+    """Object-center path during one pulse, colored by motion class; with
+    no points, only the title and legend."""
     xy = [(p.object_pose.x, p.object_pose.y) for p in points]
-    if not xy:
-        return
     canvas = SvgCanvas()
-    canvas.set_bounds(min(x for x, _ in xy), max(x for x, _ in xy),
-                      min(y for _, y in xy), max(y for _, y in xy))
-    canvas.colored_path(xy, [CLASS_COLORS[p.motion_class.value] for p in points])
-    canvas.circle(*xy[0], 4, fill="#444444")
+    if xy:
+        canvas.set_bounds(min(x for x, _ in xy), max(x for x, _ in xy),
+                          min(y for _, y in xy), max(y for _, y in xy))
+        canvas.colored_path(xy, [CLASS_COLORS[p.motion_class.value] for p in points])
+        canvas.circle(*xy[0], 4, fill="#444444")
     canvas.text(canvas.margin, canvas.height - 14,
                 "pink: near-rotational, blue: translational", size=11)
     canvas.save(out_path, title)
@@ -112,22 +112,21 @@ def plot_pulse_path(points, out_path, title="slide path"):
 STAGE_PATH_COLORS = {1: "#5b9bd5", 2: "#58b368", 3: "#e75480"}
 
 
-def plot_plan_object_frame(result, goal, out_path, title="finger path in object frame"):
+def plot_plan_object_frame(points, actions, goal, out_path, title="finger path in object frame"):
     """Stage-colored finger path in the object frame, with the goal marked.
 
-    The trajectory records carry world poses per slide step, and every
+    The trajectory points carry world poses per slide step, and every
     recorded pulse holds exactly its n_steps points, so the pulses of the
-    action log give each point's stage in order.
+    action log give each point's stage in order. With no points (a goal
+    met at the start) only the goal is drawn.
     """
-    rel_path = [invert_point(p.object_pose, p.finger_pose.position) for p in result.trajectory]
-    if not rel_path:
-        return
+    rel_path = [invert_point(p.object_pose, p.finger_pose.position) for p in points]
     canvas = SvgCanvas()
     xs = [p[0] for p in rel_path] + [goal.x]
     ys = [p[1] for p in rel_path] + [goal.y]
     canvas.set_bounds(min(xs), max(xs), min(ys), max(ys))
 
-    canvas.colored_path(rel_path, [STAGE_PATH_COLORS[a.stage] for a in result.actions
+    canvas.colored_path(rel_path, [STAGE_PATH_COLORS[a.stage] for a in actions
                                    if a.kind == "pulse" for _ in range(a.n_steps)])
 
     canvas.circle(goal.x, goal.y, 5, fill="none", stroke="#cc0000")
@@ -140,16 +139,15 @@ def plot_plan_object_frame(result, goal, out_path, title="finger path in object 
 
 
 def plot_error_distribution(report, out_path, title="final pose error per object"):
-    """Per-object columns of final position errors (mm)."""
+    """Per-object columns of the successful trials' final position errors
+    (mm); with no successful trial, only the title and axis label."""
     groups: dict[str, list[float]] = {}
     for t in report.trials:
         if t.success:
             groups.setdefault(t.object_name, []).append(t.err_pos * 1000.0)
-    if not groups:
-        return
     canvas = SvgCanvas()
     names = sorted(groups)
-    ymax = max(max(v) for v in groups.values())
+    ymax = max((max(v) for v in groups.values()), default=0.0)
     canvas.set_bounds(-0.5, len(names) - 0.5, 0.0, max(ymax, 1e-6))
     for i, name in enumerate(names):
         for v in groups[name]:

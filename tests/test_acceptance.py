@@ -33,7 +33,7 @@ from vib2move.integrator import (
     ContactState,
     PulseSpec,
     com_world,
-    lever_x,
+    lever,
     rollout_to_rest,
     slide_step,
     vibration_pulse,
@@ -139,7 +139,7 @@ def test_criterion_5_equilibrium_convergence_and_instability():
         st = state_with_contact_at(PATCH, (-d * math.cos(bearing), -d * math.sin(bearing)))
         res = rollout_to_rest(st, obj, ds=1e-4, max_steps=300_000, record=False)
         assert res.converged
-        assert abs(lever_x(res.state, obj)) < 1e-5
+        assert abs(lever(res.state, obj)[0]) < 1e-5
         agree += 1
     for _ in range(100):
         # com above the contact, nudged 1e-6 m: the alignment error must
@@ -155,7 +155,7 @@ def test_criterion_5_equilibrium_convergence_and_instability():
                               PATCH)
         res = rollout_to_rest(nudged, obj, ds=1e-4, max_steps=150, record=False)
         assert not res.converged
-        assert abs(lever_x(res.state, obj)) > 1e-5
+        assert abs(lever(res.state, obj)[0]) > 1e-5
         agree += 1
     assert agree == 200
     _report(5, "100/100 hanging starts reached |x_c| < 1e-5 m; 100/100 inverted "

@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vib2move import _backend, _reference
 from vib2move._reference import STATUS_BUDGET, STATUS_DROPPED, STATUS_REST, STATUS_TARGET
@@ -211,6 +212,68 @@ def test_grid_lanes_match_rollout_core(kernel):
     assert set(seen) == {"drop_at_step_1", "drop_mid_pulse", "budget_0", "budget_1",
                          "budget_2", "no_lanes"}
     assert min(seen.values()) >= 10, seen
+
+
+def _between(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def plate_scale_calls(draw):
+    """(rollout_core args, rollout_grid args, n_max) for a plate-scale call
+    whose pressure centers start inside the object footprint.
+
+    Bounds: half-extents 20-80 mm, center of mass within half of them,
+    mass 20-200 g, torque arm 2-20 mm, finger within 0.1 m of the origin
+    at any angle, one to four pressure offsets within 7 mm per axis, the
+    first one's pressure center at most 0.9 half-extents off the object
+    center, any object angle, ds 1e-5 to 2e-3, up to 400 steps, each
+    optional stop off or set inside its working range, and an observed
+    pose within 0.2 m at any angle.
+    """
+    hx, hy = draw(_between(0.02, 0.08)), draw(_between(0.02, 0.08))
+    cdx, cdy = draw(_between(-hx / 2, hx / 2)), draw(_between(-hy / 2, hy / 2))
+    fx, fy, fth = draw(_between(-0.1, 0.1)), draw(_between(-0.1, 0.1)), draw(_between(-3.2, 3.2))
+    offsets = draw(st.lists(st.tuples(_between(-0.007, 0.007), _between(-0.007, 0.007)),
+                            min_size=1, max_size=4))
+    pdx, pdy = offsets[0]
+    # object pose that puts the first pressure center at (px, py) on the object
+    px, py = draw(_between(-0.9 * hx, 0.9 * hx)), draw(_between(-0.9 * hy, 0.9 * hy))
+    oth = draw(_between(-3.2, 3.2))
+    pcx = fx + math.cos(fth) * pdx - math.sin(fth) * pdy
+    pcy = fy + math.sin(fth) * pdx + math.cos(fth) * pdy
+    ox = pcx - (math.cos(oth) * px - math.sin(oth) * py)
+    oy = pcy - (math.sin(oth) * px + math.cos(oth) * py)
+    body = (cdx, cdy, hx, hy, draw(_between(0.02, 0.2)), 9.81, draw(_between(0.002, 0.02)),
+            draw(_between(1e-5, 2e-3)))
+    n_max = draw(st.integers(0, 400))
+    off = st.just(-1.0)
+    stops = (draw(off | _between(1e-6, 1e-3)), draw(st.booleans()),
+             draw(off | _between(1e-4, 0.05)), draw(off | _between(0.01, 1.0)))
+    core = (ox, oy, oth, fx, fy, fth, pdx, pdy, *body, n_max, *stops)
+    grid = (ox, oy, oth, fx, fy, fth, offsets, *body, n_max,
+            draw(_between(-0.2, 0.2)), draw(_between(-0.2, 0.2)), draw(_between(-3.2, 3.2)),
+            0.0015, 0.013)
+    return core, grid, n_max
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(max_examples=300, deadline=None)
+@given(call=plate_scale_calls())
+def test_kernels_stay_finite_on_plate_scale_input(kernel, call):
+    """For any finite, plate-scale input that starts in the footprint,
+    each kernel ends with a known status, within its step budget, at a
+    finite pose, with finite records and finite grid costs."""
+    core, grid, n_max = call
+    status, n_done, ox, oy, oth, records = kernel.rollout_core(*core)
+    assert status in ALL_STATUSES
+    assert 0 <= n_done <= n_max
+    assert all(map(math.isfinite, (ox, oy, oth)))
+    assert len(records) == (n_done if core[18] else 0)
+    assert all(math.isfinite(v) for rec in records for v in rec)
+    costs = kernel.rollout_grid(*grid)
+    assert len(costs) == len(grid[6])
+    assert all(math.isfinite(c) and c >= 0.0 for c in costs)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import json
 import logging
 import math
@@ -194,6 +195,26 @@ class TestBadStepInputs:
         assert "objects[0].mass_g" in msg and "nan" in msg and "\n" not in msg
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("objects, key", [
+        ([{"name": 1}, {"name": "b"}], "objects[0].name"),
+        ([{"name": "b"}, {"name": "b"}], "objects[1].name"),
+        ([{"name": "object2"}, {}], "objects[1].name"),
+        ([], "objects"),
+    ], ids=["non_string_name", "repeated_name", "repeated_default_name", "no_objects"])
+    def test_bad_eval_object_names_rejected(self, tmp_path, caplog, objects, key):
+        """Per-object results are keyed and sorted by name, so a name that
+        is not a string, or one that two objects share, is refused before
+        any trial runs, as is an object list with nothing to evaluate."""
+        doc = json.loads(bundled_path("eval_noisy").read_text())
+        doc["n_trials"] = 1
+        doc["objects"] = [{"mass_g": 90.0, "extents_mm": [90.0, 150.0], **ob} for ob in objects]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["evaluate", "--config", bad, "--out", tmp_path / "o"]) == 1
+        [msg] = _error_lines(caplog)
+        assert msg.startswith(f"{key} ") and "\n" not in msg
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("path, value, words", [
         (("object", "mass_g"), 1e-300, "mass*gravity"),
@@ -241,3 +262,76 @@ def test_svg_text_is_escaped(tmp_path, command, scenario, title):
     svg = minidom.parse(str(tmp_path / "o" / "path.svg"))
     texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
     assert f"{name}: {title}" in texts
+
+
+class TestRerunIntoUsedDirectory:
+    """Every successful run writes its plot, even with nothing to draw, so
+    no plot of an earlier run into the same directory is left beside the
+    new CSV and JSON files."""
+
+    def test_predict_without_steps(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["predict", "--scenario", "demo_pulse", "--out", out]) == 0
+        assert run(["predict", "--scenario", "demo_pulse", "--n-steps", 0, "--out", out]) == 0
+        svg = (out / "path.svg").read_text()
+        assert "demo_pulse: single pulse" in svg
+        assert "<polyline" not in svg and "<circle" not in svg
+
+    def test_plan_with_goal_already_met(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["plan", "--scenario", "demo_plan", "--out", out]) == 0
+        doc = json.loads(bundled_path("demo_plan").read_text())
+        doc["goal_rel_mm_deg"] = doc["initial_rel_mm_deg"]
+        met = tmp_path / "met.json"
+        met.write_text(json.dumps(doc))
+        assert run(["plan", "--scenario", met, "--out", out]) == 0
+        assert len(read_rows(out / "trajectory.csv")) == 1
+        svg = (out / "path.svg").read_text()
+        # the goal marker alone: its circle and heading line
+        assert "<polyline" not in svg
+        assert svg.count('stroke="#cc0000"') == 2
+
+    def test_evaluate_without_success(self, tmp_path):
+        out = tmp_path / "o"
+        doc = {"n_trials": 2, "objects": [{"name": "plate", "mass_g": 90.0,
+                                           "extents_mm": [90.0, 150.0]}]}
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps(doc))
+        assert run(["evaluate", "--config", config, "--out", out]) == 0
+        assert "<circle" in (out / "error_distribution.svg").read_text()
+        # a plate narrower than the goal sampler's patch margin has no goal
+        doc["objects"][0]["extents_mm"] = [30.0, 30.0]
+        config.write_text(json.dumps(doc))
+        assert run(["evaluate", "--config", config, "--out", out]) == 0
+        assert json.loads((out / "metrics.json").read_text())["reconfigure"]["success_rate"] == 0
+        svg = (out / "error_distribution.svg").read_text()
+        assert "<circle" not in svg and "final pose error per object" in svg
+
+
+# SHA-256 of the files these runs wrote before the planner stopped carrying
+# the trajectory and the final error; both kernels write the same bytes.
+# The kernels call the C library's sin and cos, so a libm that rounds one
+# of them differently would move these.
+PINNED = {
+    ("predict", "demo_pulse"): {
+        "trajectory.csv": "6daa9bd9ae400560838611b7c1a70b209ac3eb8db3ee4b790e4ad8374c9ab594",
+        "path.svg": "6528244921357a32a56c34120add91d40996c22563a44d4cbbd2a7f8fb7d6b30",
+    },
+    ("plan", "demo_plan", "--seed", "5"): {
+        "trajectory.csv": "84a3603b180a89493df73d5e5d9c06ec98e7fc99e415bba321244e6d2dfbd380",
+        "actions.json": "f6bd6290d5d8f9f684534f38ab17d79285a02c941564e0ca1c5794467dc73902",
+        "metrics.json": "0bcde50da013860da8b8b31934d1020d7eee5c53d384ad4179f5fb2b6f7e5203",
+        "path.svg": "fc4d1aa1f18967f19a6ceac08068b3f4100f745c89f5d1618b28d98bece14110",
+    },
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("argv", PINNED, ids=["predict", "plan_seed5"])
+def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, kernel, argv):
+    select_kernel(monkeypatch, kernel)
+    command, scenario, *rest = argv
+    assert run([command, "--scenario", scenario, *rest, "--out", tmp_path]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED[argv]}
+    assert got == PINNED[argv]

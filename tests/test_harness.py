@@ -183,8 +183,12 @@ def test_plant_env_records_only_on_request():
     state = state_from_relative(PoseSE2(0.01, -0.02, 0.1), default_patch())
     quiet = PlantEnv(state, obj)
     loud = PlantEnv(state, obj, record=True)
-    assert quiet.pulse(40, 1e-3) == []
-    assert len(loud.pulse(40, 1e-3)) == 40
+    for env in (quiet, loud):
+        env.pulse(40, 1e-3)
+        env.pulse(10, 1e-3)
+    assert quiet.points == []
+    # points collects every recorded pulse in order
+    assert len(loud.points) == 50
     assert repr(quiet.state) == repr(loud.state)
 
 
@@ -210,9 +214,8 @@ def test_trials_count_every_env_action(monkeypatch):
             self.kinds.append("reorient")
 
         def pulse(self, n_steps, step_ds):
-            points = super().pulse(n_steps, step_ds)
+            super().pulse(n_steps, step_ds)
             self.kinds.append("pulse")
-            return points
 
     monkeypatch.setattr(harness, "PlantEnv", KindLoggingEnv)
     report = run_reconfiguration_eval(objects=default_objects()[:1], n_paths_per_object=4,

@@ -25,6 +25,7 @@ from vib2move.planner import (
     check_reachability,
     pi_update,
     plan_and_execute,
+    pose_error,
     primitive_reorient,
     subgoal_centering,
     subgoal_positioning,
@@ -176,10 +177,9 @@ class ContractCheckingEnv(PlantEnv):
 
     def pulse(self, n_steps, step_ds):
         before = self.finger_pose()
-        points = super().pulse(n_steps, step_ds)
+        super().pulse(n_steps, step_ds)
         assert self.finger_pose() == before
         self.checked += 1
-        return points
 
 
 class TestPlanExecution:
@@ -196,14 +196,15 @@ class TestPlanExecution:
         env = PlantEnv(state_from_relative(rel0, patch), obj)
         result = plan_and_execute(PlanningProblem(rel0, obj, patch), env, config)
         assert [a.kind for a in result.actions] == ["observe"]
-        assert result.final_error[0] < 1e-9
+        assert pose_error(env.true_relative_pose(), rel0)[0] < 1e-9
 
     def test_three_stage_plan_converges(self, config):
         problem, rel0 = self._problem()
         env = PlantEnv(state_from_relative(rel0, problem.patch), problem.obj)
         result = plan_and_execute(problem, env, config)
-        assert result.final_error[0] < config.r_error
-        assert result.final_error[1] < config.r_theta_error
+        err_pos, err_angle = pose_error(env.true_relative_pose(), problem.goal_rel)
+        assert err_pos < config.r_error
+        assert err_angle < config.r_theta_error
         stages = {a.stage for a in result.actions if a.kind == "pulse"}
         assert stages == {1, 2, 3}
 
@@ -225,10 +226,10 @@ class TestPlanExecution:
     def test_stage3_position_drift_bounded(self, config):
         problem, rel0 = self._problem()
         env = PlantEnv(state_from_relative(rel0, problem.patch), problem.obj)
-        result = plan_and_execute(problem, env, config)
+        plan_and_execute(problem, env, config)
         # position error after stage 2 vs final: rotation costs at most the
         # configured drift allowance, well under 2 * r_error
-        assert result.final_error[0] < 2.0 * config.r_error
+        assert pose_error(env.true_relative_pose(), problem.goal_rel)[0] < 2.0 * config.r_error
 
     def test_unreachable_goal_rejected_up_front(self, config):
         obj = ObjectModel(mass=0.09, extents=(0.09, 0.15))
