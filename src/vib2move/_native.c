@@ -43,7 +43,7 @@ wrap(double a)
 /* The slide loop both entries run: up to n_max steps from (*x, *y, *th)
  * about the fixed pressure center (pcx, pcy). A negative stop_eps,
  * stop_travel or stop_rot switches that stop off. With records non-NULL
- * each step appends its (x, y, th, uy, uw, k, x_c) tuple. Returns the
+ * each step appends its (x, y, th, uy, uw, k) tuple. Returns the
  * status, or -1 with an exception set; *x, *y, *th and *n_done hold where
  * the loop ended. */
 static int
@@ -96,9 +96,9 @@ slide(double pcx, double pcy, double cdx, double cdy, double hx, double hy,
         oth = wrap(oth + phi);
         done = i + 1;
         if (records != NULL) {
-            const double v[7] = {ox, oy, oth, uy, uw, k, xc};
-            PyObject *rec = PyTuple_New(7);
-            for (Py_ssize_t j = 0; rec != NULL && j < 7; j++) {
+            const double v[6] = {ox, oy, oth, uy, uw, k};
+            PyObject *rec = PyTuple_New(6);
+            for (Py_ssize_t j = 0; rec != NULL && j < 6; j++) {
                 PyObject *f = PyFloat_FromDouble(v[j]);
                 if (f == NULL)
                     Py_CLEAR(rec);

@@ -71,11 +71,10 @@ def rollout_core(
     sizing, where the twist direction can change character mid-pulse.
 
     Returns (status, n_done, ox, oy, oth, records) where records holds one
-    (ox, oy, oth, uy, uw, k, x_c) tuple per executed step when record is
-    true. status: 0 = step budget used up, 1 = stopped at stable rest
-    (|x_c| < stop_eps with the center of mass below the contact),
-    2 = pressure center left the footprint (object dropped), 3 = stop
-    target reached.
+    (ox, oy, oth, uy, uw, k) tuple per executed step when record is true.
+    status: 0 = step budget used up, 1 = stopped at stable rest (|x_c| <
+    stop_eps with the center of mass below the contact), 2 = pressure
+    center left the footprint (object dropped), 3 = stop target reached.
     """
     cos, sin, sqrt, fmod = math.cos, math.sin, math.sqrt, math.fmod
     pi, two_pi = math.pi, _TWO_PI
@@ -139,7 +138,7 @@ def rollout_core(
         oth = t - pi
         n_done = i + 1
         if record:
-            append((ox, oy, oth, uy, uw, k, xc))
+            append((ox, oy, oth, uy, uw, k))
         # also the next step's angle terms and contact offset
         co = cos(oth)
         so = sin(oth)

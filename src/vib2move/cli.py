@@ -42,6 +42,12 @@ def _setup_logging():
                         level=levels.get(level, logging.INFO))
 
 
+def _remove_stale(out: Path, *names: str) -> None:
+    """Remove an earlier run's outputs that this run does not write."""
+    for name in names:
+        (out / name).unlink(missing_ok=True)
+
+
 def _resolve_scenario(arg: str) -> Path:
     p = Path(arg)
     if p.exists():
@@ -106,6 +112,7 @@ def cmd_predict(args) -> int:
                                         PulseSpec(args.ds, args.n_steps))
         except ObjectDroppedError as exc:
             log.error("pulse failed: %s", exc)
+            _remove_stale(out, "trajectory.csv", "path.svg")
             return 1
     write_trajectory_csv(points, out / "trajectory.csv")
     plot_pulse_path(points, out / "path.svg", title=f"{scenario.name}: single pulse")
@@ -126,6 +133,7 @@ def cmd_plan(args) -> int:
         result = plan_and_execute(scenario.problem(), env, scenario.planner)
     except (PlanningError, ObjectDroppedError) as exc:
         log.error("planning failed: %s", exc)
+        _remove_stale(out, "trajectory.csv", "actions.json", "metrics.json", "path.svg")
         return 1
     write_trajectory_csv(env.points, out / "trajectory.csv")
     (out / "actions.json").write_text(json.dumps(_actions_doc(result.actions), indent=1) + "\n")
@@ -150,16 +158,30 @@ def cmd_plan(args) -> int:
     return 0
 
 
+def _object_errors(d) -> dict:
+    """An object's errors in mm, degrees and percent, None with no success."""
+    if d["rmse_pos"] is None:
+        return {"rmse_pos_mm": None, "rmse_angle_deg": None, "rel_error_pct": None}
+    return {"rmse_pos_mm": d["rmse_pos"] * 1000.0,
+            "rmse_angle_deg": math.degrees(d["rmse_angle"]),
+            "rel_error_pct": d["rel_error_pct"]}
+
+
+def _cell(value, spec: str) -> str:
+    return "" if value is None else format(value, spec)
+
+
 def _table_rows(report):
     rows = []
     for name, d in report.per_object.items():
+        errors = _object_errors(d)
         rows.append([
             name, d.get("surface", ""),
             f"{d['size_mm'][0]:.0f}x{d['size_mm'][1]:.0f}",
             f"{d['weight_g']:.0f}",
-            f"{d['rmse_pos'] * 1000:.2f}",
-            f"{d['rel_error_pct']:.1f}",
-            f"{math.degrees(d['rmse_angle']):.2f}",
+            _cell(errors["rmse_pos_mm"], ".2f"),
+            _cell(errors["rel_error_pct"], ".1f"),
+            _cell(errors["rmse_angle_deg"], ".2f"),
             f"{d['success_rate']:.2f}",
         ])
     rows.append(["average", "", "", "",
@@ -198,6 +220,8 @@ def cmd_evaluate(args) -> int:
         log.info("reconfigure: %d trials, success %.0f%%, rmse %.2f mm / %.2f deg",
                  report.n_trials, 100 * report.success_rate,
                  report.rmse_pos * 1000, math.degrees(report.rmse_angle))
+    else:
+        _remove_stale(out, "trials.csv", "table.csv", "error_distribution.svg")
     if cfg.mode in ("single_pulse", "both"):
         pulse_report = run_single_pulse_eval(
             n_trials=cfg.n_trials * 10, ds=cfg.step_ds, n_steps=cfg.pulse_steps,
@@ -215,12 +239,8 @@ def cmd_evaluate(args) -> int:
             "rel_error_pct": report.rel_error_pct,
             "success_rate": report.success_rate,
             "n_trials": report.n_trials,
-            "per_object": {
-                name: {"rmse_pos_mm": d["rmse_pos"] * 1000.0,
-                       "rmse_angle_deg": math.degrees(d["rmse_angle"]),
-                       "rel_error_pct": d["rel_error_pct"],
-                       "success_rate": d["success_rate"]}
-                for name, d in report.per_object.items()},
+            "per_object": {name: {**_object_errors(d), "success_rate": d["success_rate"]}
+                           for name, d in report.per_object.items()},
         }
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
     return 0

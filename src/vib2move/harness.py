@@ -353,7 +353,8 @@ def run_reconfiguration_eval(objects: list[dict] | None = None,
     final relative pose against the goal, whether the plan returned or
     raised. Failures (drops, timeouts, orientation limits) are recorded,
     count against the success rate, and are excluded from the RMSE
-    aggregates.
+    aggregates; an object with no successful trial reports its RMSEs and
+    relative error as None, since a 0 would read as perfect.
     """
     objects = objects if objects is not None else default_objects()
     noise = noise or NoiseModel(0.0, 0.0)
@@ -395,11 +396,14 @@ def run_reconfiguration_eval(objects: list[dict] | None = None,
                                           *pose_error(env.true_relative_pose(), goal),
                                           env.n_actions, failure=failure))
             index += 1
-        per_object[entry["name"]] = _summarize(obj_trials, max(obj.extents))
-        per_object[entry["name"]].update(
+        summary = _summarize(obj_trials, max(obj.extents))
+        if not any(t.success for t in obj_trials):
+            summary.update(rmse_pos=None, rmse_angle=None, rel_error_pct=None)
+        summary.update(
             {"surface": entry.get("surface", ""),
              "size_mm": (obj.extents[0] * 1000.0, obj.extents[1] * 1000.0),
              "weight_g": obj.mass * 1000.0})
+        per_object[entry["name"]] = summary
         trials.extend(obj_trials)
     ref = (sum(max(e["model"].extents) for e in objects) / len(objects)) if objects else 1.0
     return MetricsReport(**_summarize(trials, ref), trials=tuple(trials), per_object=per_object)

@@ -162,7 +162,7 @@ def _points_from_records(state: ContactState, records) -> list[TrajectoryPoint]:
     arm = state.patch.torque_arm
     return [TrajectoryPoint(state.finger_pose_w, PoseSE2(ox, oy, oth),
                             classify_motion(uy, uw, arm), k)
-            for ox, oy, oth, uy, uw, k, _xc in records]
+            for ox, oy, oth, uy, uw, k in records]
 
 
 def _slide(state: ContactState, obj: ObjectModel, ds: float, n_max: int,

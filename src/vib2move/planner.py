@@ -423,71 +423,55 @@ def _lever_windows(theta: float, bearing: float, e_theta: float, config: Planner
         yield side, t0, slope, windows
 
 
-def _stage3_candidates(state: ContactState, obj: ObjectModel, e_theta: float,
-                       config: PlannerConfig, e_ref: float) -> dict[str, tuple[float, float]]:
-    """Feasible lever placements per side: side -> (target_theta, gamma).
+def _stage3_target(belief: ContactState, obj: ObjectModel, goal: PoseSE2,
+                   config: PlannerConfig, e_theta: float,
+                   e_ref: float) -> tuple[float, float, str]:
+    """Pick the stage-3 lever placement: (target_theta, gamma, side).
 
     Below decays toward alignment and above runs away from it, but their
     translation drifts point opposite ways. Within a feasible interval of
     _lever_windows the lever angle is pushed toward the value that keeps
     the remaining rotation's translation drift inside the budget (drift
     per radian is a3^2/|x_c|, so bigger levers drift less), but never
-    below the configured default when that fits.
+    below the configured default when that fits. Among the feasible
+    sides, prefer one that meets the drift budget; break ties by aiming
+    the slide drift (world-up at the contact, seen in the object frame)
+    back toward the goal point.
     """
-    dx, dy = lever(state, obj)
+    dx, dy = lever(belief, obj)
     d = math.hypot(dx, dy)
     if d < REST_EPS:
         raise SingularityError("no gravity lever: center of mass sits on the contact")
-    a3 = state.patch.torque_arm
+    a3 = belief.patch.torque_arm
     # amortize the drift budget over the whole stage: the lever that keeps
     # the total stage rotation within budget is sized from the entry
     # residual, not the remaining one
-    want = a3 * a3 * abs(e_ref) / (d * config.stage3_drift_budget)
+    spread = a3 * a3 * abs(e_ref)
+    want_xc = spread / config.stage3_drift_budget
     gamma_want = max(config.lever_angle_stage3,
-                     math.asin(min(1.0, want)))
-    out = {}
-    for side, t0, slope, windows in _lever_windows(state.finger_pose_w.theta,
-                                                   math.atan2(dy, dx), e_theta, config):
-        best = None
-        for g0, g1 in windows:
-            g = min(max(gamma_want, g0), g1)
-            if best is None or abs(g - gamma_want) < abs(best - gamma_want):
-                best = g
-        if best is not None:
-            out[side] = (wrap_angle(t0 + slope * best), best)
-    return out
-
-
-def _stage3_target(belief: ContactState, obj: ObjectModel, goal: PoseSE2,
-                   config: PlannerConfig, e_theta: float,
-                   e_ref: float) -> tuple[float, float, str]:
-    """Pick the stage-3 lever placement.
-
-    Among the feasible below/above placements, prefer one that meets the
-    drift budget; break ties by aiming the slide drift (world-up at the
-    contact, seen in the object frame) back toward the goal point.
-    """
-    candidates = _stage3_candidates(belief, obj, e_theta, config, e_ref)
-    if not candidates:
-        raise OrientationLimitError(
-            "stage 3 lever placements all violate the finger orientation limits")
-    d = math.hypot(*lever(belief, obj))
-    a3 = belief.patch.torque_arm
-    want_xc = a3 * a3 * abs(e_ref) / config.stage3_drift_budget
+                     math.asin(min(1.0, spread / (d * config.stage3_drift_budget))))
 
     rel_f = invert_point(belief.object_pose_w, belief.finger_pose_w.position)
     to_goal = (goal.x - rel_f[0], goal.y - rel_f[1])
-
-    def score(side: str) -> tuple:
-        t, gamma = candidates[side]
-        meets_budget = d * math.sin(gamma) >= want_xc
+    best = None
+    for side, t0, slope, windows in _lever_windows(belief.finger_pose_w.theta,
+                                                   math.atan2(dy, dx), e_theta, config):
+        gamma = min((min(max(gamma_want, g0), g1) for g0, g1 in windows),
+                    key=lambda g: abs(g - gamma_want), default=None)
+        if gamma is None:
+            continue
+        t = wrap_angle(t0 + slope * gamma)
         th_obj = belief.object_pose_w.theta + (t - belief.finger_pose_w.theta)
         aim = math.sin(th_obj) * to_goal[0] + math.cos(th_obj) * to_goal[1]
-        return (meets_budget, aim, math.sin(gamma) * d)
-
-    side = max(candidates, key=score)
-    t, gamma = candidates[side]
-    return t, gamma, side
+        reach = d * math.sin(gamma)
+        score = (reach >= want_xc, aim, reach)
+        # on a tie the first side (below) stays
+        if best is None or score > best[0]:
+            best = (score, t, gamma, side)
+    if best is None:
+        raise OrientationLimitError(
+            "stage 3 lever placements all violate the finger orientation limits")
+    return best[1:]
 
 
 def check_reachability(finger_pose: PoseSE2, object_pose: PoseSE2,
@@ -537,31 +521,22 @@ def check_reachability(finger_pose: PoseSE2, object_pose: PoseSE2,
         climb = goal_ray + 4.0 * ovs
         drift = -1.5 * ovs * math.sin(psi) * climb / (a3 * a3)
         t2 = wrap_angle(math.pi / 2 - u2 + rel.theta)
-        for t in (t2, wrap_angle(t2 + drift), wrap_angle(t2 + 0.5 * drift)):
+        for t in (t2, wrap_angle(t2 + drift)):
             if not _in_limits(t, window):
                 raise OrientationLimitError(
                     f"positioning needs finger orientation {t:.3f} outside limits {limits}")
 
-    # stage 3 estimate: contact on the goal point; sweep the relative theta
-    # from its settle-shifted entry value to the goal and require one
-    # feasible lever (world bearing of com from contact is b3 + theta_o,
-    # theta_e = theta_o + rel_th)
+    # stage 3 estimate: contact on the goal point; shrink the relative theta
+    # from its padded settle-shifted entry value toward the goal and require
+    # one feasible lever (world bearing of com from contact is b3 + theta_o,
+    # theta_e = theta_o + rel_th), then judge capability at the realistic
+    # entry residuals: the unpadded settle drift and no drift at all
     b3 = math.atan2(obj.com_offset[1] - goal.y, obj.com_offset[0] - goal.x)
     e0 = wrap_angle(rel.theta + drift - goal.theta)
-
-    # sweep entry residuals across the drift uncertainty (from no settle
-    # drift at all up to the padded estimate), shrinking toward zero
-    e0_raw = wrap_angle(rel.theta - goal.theta)
     e0_mid = wrap_angle(rel.theta + drift / 1.5 - goal.theta)
-    residuals = []
-    capability_residuals = {abs(e0_mid), abs(e0_raw)}
-    for e_entry in (e0, e0_mid, e0_raw):
-        residuals += [e_entry * (1.0 - f) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    if min(abs(e) for e in (e0, e0_mid, e0_raw)) < 0.12:
-        # small entry rotations can flip sign under the settling swings of
-        # stage 2, so require a workable lever from either direction
-        residuals += [0.1, -0.1]
-    for e in residuals:
+    e0_raw = wrap_angle(rel.theta - goal.theta)
+    for e, judge in ([(e0 * f, False) for f in (1.0, 0.75, 0.5, 0.25)]
+                     + [(e0_mid, capability), (e0_raw, capability)]):
         if abs(e) < config.r_theta_error:
             continue
         # the widest feasible lever on either side
@@ -571,9 +546,8 @@ def check_reachability(finger_pose: PoseSE2, object_pose: PoseSE2,
             raise OrientationLimitError(
                 f"orientation stage has no feasible lever at residual {e:.3f} rad")
         # capability: the best reachable lever must keep the total stage-3
-        # translation drift (a3^2/x_c per radian) inside a loose allowance;
-        # judged only at the realistic entry residuals, not the padded sweep
-        if (capability and abs(e) in capability_residuals and goal_ray > REST_EPS
+        # translation drift (a3^2/x_c per radian) inside a loose allowance
+        if (judge and goal_ray > REST_EPS
                 and goal_ray * math.sin(g) < a3 * a3 * abs(e) / 0.002):
             raise OrientationLimitError(
                 f"orientation stage drift would exceed budget (residual {e:.3f} rad, "

@@ -140,20 +140,21 @@ def plot_plan_object_frame(points, actions, goal, out_path, title="finger path i
 
 def plot_error_distribution(report, out_path, title="final pose error per object"):
     """Per-object columns of the successful trials' final position errors
-    (mm); with no successful trial, only the title and axis label."""
-    groups: dict[str, list[float]] = {}
+    (mm); an object with no successful trial gets a labelled, empty one."""
+    groups: dict[str, list[float]] = {name: [] for name in report.per_object}
     for t in report.trials:
         if t.success:
-            groups.setdefault(t.object_name, []).append(t.err_pos * 1000.0)
+            groups[t.object_name].append(t.err_pos * 1000.0)
     canvas = SvgCanvas()
     names = sorted(groups)
-    ymax = max((max(v) for v in groups.values()), default=0.0)
+    ymax = max((v for errors in groups.values() for v in errors), default=0.0)
     canvas.set_bounds(-0.5, len(names) - 0.5, 0.0, max(ymax, 1e-6))
     for i, name in enumerate(names):
         for v in groups[name]:
             canvas.circle(i, v, 3, fill="#3aa0c9")
-        mean = sum(groups[name]) / len(groups[name])
-        canvas.segment((i - 0.25, mean), (i + 0.25, mean), stroke="#cc0000", width=2.0)
+        if groups[name]:
+            mean = sum(groups[name]) / len(groups[name])
+            canvas.segment((i - 0.25, mean), (i + 0.25, mean), stroke="#cc0000", width=2.0)
         px, py = canvas.to_px(i, 0)
         canvas.text(px, canvas.height - canvas.margin + 18, name, size=11, anchor="middle")
     canvas.text(14, canvas.margin, "mm", size=11)

@@ -154,9 +154,9 @@ def test_kernels_bit_identical():
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernel_steps_are_the_contact_model(kernel):
-    """Each recorded kernel step is one step of the contact model: x_c is
-    the lever of the step's start pose, (uy, uw) is motion_direction at
-    the gravity balance wrench of that x_c, bit for bit and with no vx,
+    """Each recorded kernel step is one step of the contact model: with
+    x_c the lever of the step's start pose, (uy, uw) is motion_direction
+    at the gravity balance wrench of that x_c, bit for bit and with no vx,
     k is its ls_scale to 1e-15 relative, and the end pose is apply_twist
     of the start pose about the pressure center for the arc ds * k."""
     rng = random.Random(2718)
@@ -180,9 +180,8 @@ def test_kernel_steps_are_the_contact_model(kernel):
             ls = build_limit_surface(patch)
             pc = pressure_center_world(state)
             prev = state.object_pose_w
-            for ox, oy, oth, uy, uw, k, xc in records:
-                assert xc == com_world(prev, obj)[0] - pc[0]
-                w = balance_wrench(obj, xc)
+            for ox, oy, oth, uy, uw, k in records:
+                w = balance_wrench(obj, com_world(prev, obj)[0] - pc[0])
                 twist = motion_direction(ls, w)
                 assert (twist.vx, twist.vy, twist.omega) == (0.0, uy, uw)
                 assert k == pytest.approx(ls_scale(ls, w), rel=1e-15, abs=0.0)
@@ -397,7 +396,7 @@ def _rollout_core_recomputing_angle_terms(
         oth = r - math.pi
         n_done = i + 1
         if record:
-            records.append((ox, oy, oth, uy, uw, k, xc))
+            records.append((ox, oy, oth, uy, uw, k))
         co = math.cos(oth)
         so = math.sin(oth)
         dx = pcx - ox

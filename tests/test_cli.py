@@ -265,9 +265,9 @@ def test_svg_text_is_escaped(tmp_path, command, scenario, title):
 
 
 class TestRerunIntoUsedDirectory:
-    """Every successful run writes its plot, even with nothing to draw, so
-    no plot of an earlier run into the same directory is left beside the
-    new CSV and JSON files."""
+    """Every successful run writes its plot, even with nothing to draw, and
+    a run removes the files it does not write, so no file of an earlier run
+    into the same directory is left beside the new ones."""
 
     def test_predict_without_steps(self, tmp_path):
         out = tmp_path / "o"
@@ -306,6 +306,63 @@ class TestRerunIntoUsedDirectory:
         assert json.loads((out / "metrics.json").read_text())["reconfigure"]["success_rate"] == 0
         svg = (out / "error_distribution.svg").read_text()
         assert "<circle" not in svg and "final pose error per object" in svg
+
+    def test_failed_predict(self, tmp_path, caplog):
+        out = tmp_path / "o"
+        assert run(["predict", "--scenario", "demo_pulse", "--out", out]) == 0
+        # long enough arc steps slide the contact off the footprint
+        assert run(["predict", "--scenario", "demo_pulse", "--ds", 0.01, "--n-steps", 1000,
+                    "--out", out]) == 1
+        [msg] = _error_lines(caplog)
+        assert msg.startswith("pulse failed: object dropped")
+        assert list(out.iterdir()) == []
+
+    def test_failed_plan(self, tmp_path, caplog):
+        out = tmp_path / "o"
+        assert run(["plan", "--scenario", "demo_plan", "--out", out]) == 0
+        doc = json.loads(bundled_path("demo_plan").read_text())
+        # a goal straight below the center of mass needs an upside-down finger
+        doc["goal_rel_mm_deg"] = [0.0, -35.0, 0.0]
+        unreachable = tmp_path / "unreachable.json"
+        unreachable.write_text(json.dumps(doc))
+        assert run(["plan", "--scenario", unreachable, "--out", out]) == 1
+        [msg] = _error_lines(caplog)
+        assert msg.startswith("planning failed: ")
+        assert list(out.iterdir()) == []
+
+    def test_single_pulse_evaluate(self, tmp_path):
+        out = tmp_path / "o"
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"n_trials": 1, "objects": [
+            {"name": "plate", "mass_g": 90.0, "extents_mm": [90.0, 150.0]}]}))
+        assert run(["evaluate", "--config", config, "--out", out]) == 0
+        config.write_text(json.dumps({"mode": "single_pulse", "n_trials": 1}))
+        assert run(["evaluate", "--config", config, "--out", out]) == 0
+        assert [p.name for p in out.iterdir()] == ["metrics.json"]
+        assert list(json.loads((out / "metrics.json").read_text())) == ["single_pulse"]
+
+
+def test_object_without_success_reports_no_error(tmp_path):
+    """A plate too small for any goal has no error to report: empty table
+    cells and nulls per object, and an empty but labelled plot column,
+    while the averages over all trials stay numbers."""
+    config = tmp_path / "eval.json"
+    config.write_text(json.dumps({"n_trials": 2, "objects": [
+        {"name": "tiny", "mass_g": 20.0, "extents_mm": [30.0, 30.0]},
+        {"name": "plate", "mass_g": 90.0, "extents_mm": [90.0, 150.0]}]}))
+    assert run(["evaluate", "--config", config, "--out", tmp_path]) == 0
+    table = {row[0]: row for row in read_rows(tmp_path / "table.csv")}
+    assert table["tiny"][4:] == ["", "", "", "0.00"]
+    assert all(table["plate"][4:]) and all(table["average"][4:])
+    doc = json.loads((tmp_path / "metrics.json").read_text())["reconfigure"]
+    assert doc["per_object"]["tiny"] == {"rmse_pos_mm": None, "rmse_angle_deg": None,
+                                         "rel_error_pct": None, "success_rate": 0.0}
+    assert doc["per_object"]["plate"]["rmse_pos_mm"] > 0.0
+    assert isinstance(doc["rmse_pos_mm"], float) and doc["success_rate"] == 0.5
+    svg = minidom.parse(str(tmp_path / "error_distribution.svg"))
+    labels = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert "tiny" in labels and "plate" in labels
+    assert len(svg.getElementsByTagName("circle")) == 2
 
 
 # SHA-256 of the files these runs wrote before the planner stopped carrying

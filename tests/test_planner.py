@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import math
 import random
 import re
@@ -6,9 +7,17 @@ from dataclasses import replace
 
 import pytest
 
-from vib2move import _backend
+from vib2move import _backend, harness
 from vib2move.contact import ContactPatch, ObjectModel
-from vib2move.harness import PlantEnv, default_patch, state_from_relative
+from vib2move.harness import (
+    PlantEnv,
+    _trial_rng,
+    default_initial_rel,
+    default_objects,
+    default_patch,
+    sample_goal,
+    state_from_relative,
+)
 from vib2move.planner import (
     _ERROR_GRID,
     OrientationLimitError,
@@ -20,7 +29,6 @@ from vib2move.planner import (
     _predict_pulse,
     _pressure_error_from_pulse,
     _size_pulse,
-    _stage3_candidates,
     _stage3_target,
     check_reachability,
     pi_update,
@@ -30,7 +38,7 @@ from vib2move.planner import (
     subgoal_centering,
     subgoal_positioning,
 )
-from vib2move.integrator import _kernel_args, _run_kernel
+from vib2move.integrator import _kernel_args, _run_kernel, lever
 from vib2move.se2 import PoseSE2, relative_pose, transform_point, wrap_angle
 
 from conftest import state_with_contact_at
@@ -110,18 +118,24 @@ class TestSubgoals:
     def test_orientation_lever_sign_follows_error(self, paper_patch, plate, config):
         # positive orientation error needs the com left of vertical so the
         # induced rotation lowers the relative angle, and mirrored for
-        # negative error; this holds for every feasible lever side and for
-        # the placement stage 3 picks
+        # negative error; this holds for every feasible lever of either
+        # side and for the placement stage 3 picks
         st = state_with_contact_at(paper_patch, (0.01, 0.03), theta_o=0.0)
         rel_theta = relative_pose(st.finger_pose_w, st.object_pose_w).theta
+        dx, dy = lever(st, plate)
         for err_sign in (+1.0, -1.0):
             e_theta = err_sign * math.radians(10)
             goal = PoseSE2(0.01, 0.03, rel_theta - e_theta)
-            candidates = _stage3_candidates(st, plate, e_theta, config, e_theta)
-            assert "below" in candidates
+            sides = {side: (t0, slope, windows) for side, t0, slope, windows in _lever_windows(
+                st.finger_pose_w.theta, math.atan2(dy, dx), e_theta, config)}
+            assert sides["below"][2]
             target, gamma, side = _stage3_target(st, plate, goal, config, e_theta, e_theta)
-            assert candidates[side] == (target, gamma)
-            for cand_target, _ in candidates.values():
+            t0, slope, windows = sides[side]
+            assert target == wrap_angle(t0 + slope * gamma)
+            assert any(g0 <= gamma <= g1 for g0, g1 in windows)
+            targets = [wrap_angle(t0 + slope * g) for t0, slope, windows in sides.values()
+                       for window in windows for g in window]
+            for cand_target in targets + [target]:
                 out = primitive_reorient(st, cand_target)
                 pc = transform_point(out.finger_pose_w, paper_patch.pressure_center_offset)
                 com = transform_point(out.object_pose_w, plate.com_offset)
@@ -129,8 +143,6 @@ class TestSubgoals:
 
     def test_orientation_needs_a_lever(self, paper_patch, plate, config):
         st = state_with_contact_at(paper_patch, (0.0, 1e-9))
-        with pytest.raises(SingularityError):
-            _stage3_candidates(st, plate, 0.3, config, 0.3)
         with pytest.raises(SingularityError):
             _stage3_target(st, plate, PoseSE2(0.0, 0.0, 0.0), config, 0.3, 0.3)
 
@@ -291,6 +303,42 @@ class TestPlanExecution:
     def test_config_rejects_values_it_cannot_run(self, bad, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             PlannerConfig(**bad)
+
+
+def test_screen_verdicts_pinned(monkeypatch, config):
+    # every draw the evaluation's goal sampler screens, over the six plates
+    # and a few trial seeds, with its verdict in the sampler's mode (widened
+    # margin, capability on) and at plan time (plain config, capability
+    # off); the digest pins each verdict and each rejection message
+    patch = default_patch()
+    plates = [entry["model"] for entry in default_objects()]
+    verdicts = []
+
+    def verdict(*args, **kwargs):
+        try:
+            check_reachability(*args, **kwargs)
+            return "ok"
+        except OrientationLimitError as exc:
+            return str(exc)
+
+    def recording_screen(*args):
+        verdicts.append(f"{verdict(*args)} | {verdict(*args[:3], config, capability=False)}")
+        check_reachability(*args)
+
+    monkeypatch.setattr(harness, "check_reachability", recording_screen)
+    for seed in (0, 3, 11, 21, 100001):
+        for index in range(60):
+            obj = plates[index // 10]
+            rng = _trial_rng(seed, index)
+            for _ in range(8):  # the evaluation's grasp redraws
+                try:
+                    sample_goal(rng, default_initial_rel(obj, rng), obj, patch, config)
+                    break
+                except RuntimeError:
+                    pass
+    digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+    assert (len(verdicts), digest) == (
+        4333, "9e58f094446e20df54f546b67b485c1d4f14cc959759b0e137fbed46881942cc")
 
 
 def _replace_based_pressure_error(belief, obj, ds, n_steps, predicted, observed,

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from vib2move.cli import main as cli_main
 from vib2move.planner import PlannerConfig
 from vib2move.scenario import (
     Scenario,
@@ -32,6 +33,15 @@ def test_bundled_scenarios_load(name):
     s = load_scenario(bundled_path(name))
     assert s.obj.mass > 0
     assert s.patch.r0 == pytest.approx(0.015)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_scenarios_plan(tmp_path, name):
+    s = load_scenario(bundled_path(name))
+    assert cli_main(["plan", "--scenario", name, "--out", str(tmp_path)]) == 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["final_error_pos_mm"] < s.planner.r_error * 1000.0
+    assert math.radians(metrics["final_error_angle_deg"]) < s.planner.r_theta_error
 
 
 @pytest.mark.parametrize("name", BUNDLED)
