@@ -48,9 +48,19 @@ def _remove_stale(out: Path, *names: str) -> None:
         (out / name).unlink(missing_ok=True)
 
 
+def _out_dir(arg: str) -> Path:
+    out = Path(arg)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output directory {arg!r}: {exc.strerror}") from exc
+    return out
+
+
 def _resolve_scenario(arg: str) -> Path:
+    # a file by that name wins; a directory (an earlier run's --out, say) does not
     p = Path(arg)
-    if p.exists():
+    if p.is_file():
         return p
     bundled = bundled_path(arg)
     if bundled.exists():
@@ -102,8 +112,7 @@ def cmd_predict(args) -> int:
         log.error("--n-steps must be zero or more, got %s", args.n_steps)
         return 1
     scenario = load_scenario(_resolve_scenario(args.scenario))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     state = state_from_relative(scenario.initial_rel, scenario.patch, scenario.finger_world)
     points = []
     if args.n_steps > 0:
@@ -122,8 +131,7 @@ def cmd_predict(args) -> int:
 
 def cmd_plan(args) -> int:
     scenario = load_scenario(_resolve_scenario(args.scenario))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     noise = replace(scenario.noise, seed=args.seed) if args.seed is not None else scenario.noise
     state = state_from_relative(scenario.initial_rel, scenario.patch, scenario.finger_world)
     env = PlantEnv(state, scenario.obj, noise=noise,
@@ -192,8 +200,7 @@ def _table_rows(report):
 
 def cmd_evaluate(args) -> int:
     cfg = load_eval_config(_resolve_scenario(args.config))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     docs = {}
     if cfg.mode in ("reconfigure", "both"):
         report = run_reconfiguration_eval(

@@ -151,13 +151,6 @@ def _kernel_args(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
     return args
 
 
-def _run_kernel(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
-                stop_eps: float = -1.0, record: bool = False,
-                stop_travel: float = -1.0, stop_rot: float = -1.0):
-    return _backend.rollout_core(*_kernel_args(state, obj, ds, n_max, stop_eps, record,
-                                               stop_travel, stop_rot))
-
-
 def _points_from_records(state: ContactState, records) -> list[TrajectoryPoint]:
     arm = state.patch.torque_arm
     return [TrajectoryPoint(state.finger_pose_w, PoseSE2(ox, oy, oth),
@@ -173,7 +166,8 @@ def _slide(state: ContactState, obj: ObjectModel, ds: float, n_max: int,
     and ValueError when the slide ends at a non-finite pose (a lever or
     load too large for floating point).
     """
-    status, n_done, ox, oy, oth, records = _run_kernel(state, obj, ds, n_max, stop_eps, record)
+    status, n_done, ox, oy, oth, records = _backend.rollout_core(
+        *_kernel_args(state, obj, ds, n_max, stop_eps, record))
     if status == _backend.STATUS_DROPPED:
         raise ObjectDroppedError(n_done)
     if not all(map(math.isfinite, (ox, oy, oth))):

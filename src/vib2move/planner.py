@@ -33,7 +33,6 @@ from .integrator import (
     REST_EPS,
     ContactState,
     _kernel_args,
-    _run_kernel,
     com_world,
     lever,
     pressure_center_world,
@@ -142,14 +141,6 @@ class PlannerConfig:
 
 
 @dataclass(frozen=True)
-class PiState:
-    """Discrete PI state for the pressure-center estimate (finger frame)."""
-
-    integral: tuple[float, float] = (0.0, 0.0)
-    pressure_center_estimate: tuple[float, float] = (0.0, 0.0)
-
-
-@dataclass(frozen=True)
 class ActionRecord:
     stage: int
     kind: str  # reorient | pulse | observe
@@ -241,23 +232,24 @@ def subgoal_positioning(state: ContactState, obj: ObjectModel, goal: PoseSE2) ->
     return _bearing_target(state, aim)
 
 
-def pi_update(pi: PiState, observed_error: tuple[float, float],
-              gains: tuple[float, float], r0: float) -> PiState:
-    """One discrete PI step on the pressure-center estimate.
+def pi_update(estimate: tuple[float, float], integral: tuple[float, float],
+              observed_error: tuple[float, float], gains: tuple[float, float],
+              r0: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """One discrete PI step on the pressure-center estimate (finger frame).
 
-    The integral accumulates first, then the estimate moves by
-    kp*e + ki*integral, clamped to stay inside the patch.
+    The integral accumulates first, then the estimate moves by kp*e +
+    ki*integral, clamped inside the patch; returns (estimate, integral).
     """
     kp, ki = gains
-    ix = pi.integral[0] + observed_error[0]
-    iy = pi.integral[1] + observed_error[1]
-    ex = pi.pressure_center_estimate[0] + kp * observed_error[0] + ki * ix
-    ey = pi.pressure_center_estimate[1] + kp * observed_error[1] + ki * iy
+    ix = integral[0] + observed_error[0]
+    iy = integral[1] + observed_error[1]
+    ex = estimate[0] + kp * observed_error[0] + ki * ix
+    ey = estimate[1] + kp * observed_error[1] + ki * iy
     cap = 0.95 * r0
     n = math.hypot(ex, ey)
     if n > cap:
         ex, ey = ex * cap / n, ey * cap / n
-    return PiState(integral=(ix, iy), pressure_center_estimate=(ex, ey))
+    return (ex, ey), (ix, iy)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +258,7 @@ def pi_update(pi: PiState, observed_error: tuple[float, float],
 
 def _predict_pulse(state: ContactState, obj: ObjectModel, ds: float, n_steps: int) -> PoseSE2:
     """Model rollout used as the PI reference for a commanded pulse."""
-    _, _, ox, oy, oth, _ = _run_kernel(state, obj, ds, n_steps)
+    _, _, ox, oy, oth, _ = _backend.rollout_core(*_kernel_args(state, obj, ds, n_steps))
     return PoseSE2(ox, oy, oth)
 
 
@@ -299,27 +291,22 @@ def _pressure_error_from_pulse(belief: ContactState, obj: ObjectModel, ds: float
     th = belief.finger_pose_w.theta
     ex_f, ey_f = math.cos(th), -math.sin(th)
     pdx, pdy = belief.patch.pressure_center_offset
-    r0 = belief.patch.r0
-    costs = {}
-    offsets = []
+    lanes = {}
     for i, err in enumerate(_ERROR_GRID):
-        if err == 0.0:
-            costs[i] = match_cost(predicted.x, predicted.y, predicted.theta, observed.x,
-                                  observed.y, observed.theta, _SIGMA_POS, _SIGMA_THETA)
-            continue
         off = (pdx + ex_f * err, pdy + ey_f * err)
-        if math.hypot(*off) < r0:
-            costs[i] = None  # filled in grid order from the replays below
-            offsets.append(off)
+        if err != 0.0 and math.hypot(*off) < belief.patch.r0:
+            lanes[i] = off
     # the replays differ from the belief's rollout only in the
     # pressure-center offset, kernel arguments 6 and 7
     args = _kernel_args(belief, obj, ds, n_steps)
-    replays = iter(_backend.rollout_grid(*args[:6], offsets, *args[8:17], observed.x,
-                                         observed.y, observed.theta, _SIGMA_POS, _SIGMA_THETA))
-    for i in costs:
-        if costs[i] is None:
-            costs[i] = next(replays)
-    best = min(costs, key=costs.get)
+    costs = dict(zip(lanes, _backend.rollout_grid(
+        *args[:6], list(lanes.values()), *args[8:17], observed.x, observed.y, observed.theta,
+        _SIGMA_POS, _SIGMA_THETA)))
+    costs[_ERROR_GRID.index(0.0)] = match_cost(predicted.x, predicted.y, predicted.theta,
+                                               observed.x, observed.y, observed.theta,
+                                               _SIGMA_POS, _SIGMA_THETA)
+    # in grid order, so a tie goes to the lower index
+    best = min(sorted(costs), key=costs.get)
     best_cost = costs[best]
     # confidence from how sharply the fit localizes the error: compare the
     # best candidate against its 1 mm neighborhood; a flat valley means the
@@ -354,9 +341,10 @@ def _size_pulse(state: ContactState, obj: ObjectModel, config: PlannerConfig,
     3*D//4 > max_steps.
     """
     max_steps = max(1, max_steps)
-    status, n_done, *_ = _run_kernel(state, obj, ds if ds is not None else config.step_ds,
-                                     min(config.max_pulse_steps, 4 * max_steps // 3 + 2),
-                                     stop_travel=stop_travel, stop_rot=stop_rot)
+    status, n_done, *_ = _backend.rollout_core(*_kernel_args(
+        state, obj, ds if ds is not None else config.step_ds,
+        min(config.max_pulse_steps, 4 * max_steps // 3 + 2),
+        stop_travel=stop_travel, stop_rot=stop_rot))
     if status == _backend.STATUS_DROPPED:
         n_done = (3 * n_done) // 4
     return min(max(1, n_done), max_steps)
@@ -557,25 +545,31 @@ def check_reachability(finger_pose: PoseSE2, object_pose: PoseSE2,
 def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | None = None) -> PlanResult:
     """Run the three-stage loop against an environment.
 
-    The environment owns the true plant; the planner only sees the exact
-    finger pose, noisy object observations, and its own nominal models.
+    The environment owns the true plant: the planner reads no true object
+    pose, and the env's owner scores the outcome and keeps any slide path.
     Environment contract: finger_pose() -> PoseSE2, observe() -> PoseSE2,
-    reorient(target_theta) and pulse(n_steps, step_ds). The planner reads
-    no true object pose: the env's owner scores the outcome and keeps any
-    slide path.
+    reorient(target_theta) and pulse(n_steps, step_ds).
+
+    The loop holds one belief: the exact finger pose, the filtered object
+    pose and the nominal patch at the current pressure-center estimate,
+    built once from finger_pose() and the first observation. A reorient
+    moves it by primitive_reorient, the sticking primitive the plant runs;
+    an observation blends its object pose with the model prediction; an
+    informative pulse fit moves its pressure center by one PI step.
     """
     config = config or PlannerConfig()
     obj, goal, nominal = scenario.obj, scenario.goal_rel, scenario.patch
     actions: list[ActionRecord] = []
     stage_logs: dict[int, StageLog] = {}
-    pi = PiState(pressure_center_estimate=nominal.pressure_center_offset)
 
-    obs = env.observe()
-    actions.append(ActionRecord(stage=0, kind="observe", observed_object_pose=obs))
-    check_reachability(env.finger_pose(), obs, scenario, config, capability=False)
+    belief = ContactState(env.finger_pose(), env.observe(), nominal)
+    actions.append(ActionRecord(stage=0, kind="observe",
+                                observed_object_pose=belief.object_pose_w))
+    check_reachability(belief.finger_pose_w, belief.object_pose_w, scenario, config,
+                       capability=False)
 
     # a goal already satisfied within both radii needs no actions at all
-    if _goal_met(relative_pose(env.finger_pose(), obs), goal, config):
+    if _goal_met(relative_pose(belief.finger_pose_w, belief.object_pose_w), goal, config):
         return PlanResult(actions, stage_logs)
 
     # distrust of the pressure-center estimate, shrunk by consistent pulse
@@ -589,12 +583,6 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
     # at top speed
     k_max = 1.0 / obj.weight ** 2
 
-    # the planner's patch: the nominal one at the current pressure estimate
-    belief_patch = replace(nominal, pressure_center_offset=pi.pressure_center_estimate)
-
-    def belief_state() -> ContactState:
-        return ContactState(env.finger_pose(), obs, belief_patch)
-
     def residual(stage: int, belief: ContactState) -> float:
         if stage == 1:
             return math.hypot(*lever(belief, obj))
@@ -604,34 +592,30 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
             return math.hypot(goal_w.x - f.x, goal_w.y - f.y)
         return pose_error(relative_pose(belief.finger_pose_w, belief.object_pose_w), goal)[1]
 
-    def stage_done(stage: int, belief: ContactState) -> bool:
-        if stage == 1:
-            if residual(2, belief) < config.stage2_settle * config.r_error:
-                # nothing to center when the finger already sits at the goal
-                return True
-            if residual(1, belief) >= config.r_error:
-                return False
-            # require the pass through the center of mass: exiting on the
-            # stable side (center of mass below the contact) keeps the
-            # stage-2 lateral bias at the overshoot scale. A hair above
-            # also counts, or the re-aim would sit on the singularity.
-            com = com_world(belief.object_pose_w, obj)
-            return com[1] < pressure_center_world(belief)[1] + 0.05 * config.r_error
-        if stage == 2:
-            return residual(2, belief) < config.stage2_settle * config.r_error
-        return residual(3, belief) < config.r_theta_error
-
     for stage in (1, 2, 3):
-        pi = replace(pi, integral=(0.0, 0.0))
-        log = StageLog(entry_residual=residual(stage, belief_state()))
+        integral = (0.0, 0.0)
+        log = StageLog(entry_residual=residual(stage, belief))
         stage_logs[stage] = log
         best_res, best_iter = math.inf, 0
         while True:
-            belief = belief_state()
             res_now = residual(stage, belief)
             if res_now < best_res - 1e-5:
                 best_res, best_iter = res_now, log.iterations
-            if stage_done(stage, belief):
+            if stage == 1:
+                # done at the goal already, or after the pass through the
+                # center of mass: exiting on the stable side (center of mass
+                # below the contact) keeps the stage-2 lateral bias at the
+                # overshoot scale. A hair above also counts, or the re-aim
+                # would sit on the singularity.
+                done = (residual(2, belief) < config.stage2_settle * config.r_error
+                        or (res_now < config.r_error
+                            and com_world(belief.object_pose_w, obj)[1]
+                            < pressure_center_world(belief)[1] + 0.05 * config.r_error))
+            elif stage == 2:
+                done = res_now < config.stage2_settle * config.r_error
+            else:
+                done = res_now < config.r_theta_error
+            if done:
                 break
             if (stage in (1, 2) and res_now < config.r_error
                     and log.iterations - best_iter > 10):
@@ -652,7 +636,7 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
                     # an unclampable flip of the aim means the contact ended
                     # up past the stage's anchor point; settle for the
                     # contract radius instead of the tightened one
-                    if residual(stage, belief) < config.r_error:
+                    if res_now < config.r_error:
                         break
                     raise
             else:
@@ -664,9 +648,7 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
 
             env.reorient(target)
             actions.append(ActionRecord(stage=stage, kind="reorient", target_theta=target))
-            dphi = wrap_angle(target - belief.finger_pose_w.theta)
-            obs = rotate_pose_about(obs, belief.finger_pose_w.position, dphi)
-            belief = belief_state()
+            belief = primitive_reorient(belief, target)
 
             ds_pulse = config.step_ds
             if stage in (1, 2):
@@ -721,26 +703,24 @@ def plan_and_execute(scenario: PlanningProblem, env, config: PlannerConfig | Non
             env.pulse(n_steps, ds_pulse)
             actions.append(ActionRecord(stage=stage, kind="pulse", n_steps=n_steps))
 
-            new_obs = env.observe()
-            filtered = _blend_pose(predicted, new_obs, config.observation_blend)
-            actions.append(ActionRecord(
-                stage=stage, kind="observe", observed_object_pose=new_obs,
-                residual=residual(stage, ContactState(
-                    belief.finger_pose_w, filtered, belief.patch))))
-
+            observed = env.observe()
+            # the fit replays the pulse from the belief it was sized on
             ex_world = _pressure_error_from_pulse(belief, obj, ds_pulse, n_steps,
-                                                  predicted, new_obs)
+                                                  predicted, observed)
+            belief = replace(belief, object_pose_w=_blend_pose(predicted, observed,
+                                                               config.observation_blend))
+            actions.append(ActionRecord(stage=stage, kind="observe", observed_object_pose=observed,
+                                        residual=residual(stage, belief)))
             if ex_world is not None:
                 th = belief.finger_pose_w.theta
-                e_finger = (math.cos(th) * ex_world, -math.sin(th) * ex_world)
-                pi = pi_update(pi, e_finger, config.pi_gains, nominal.r0)
-                belief_patch = replace(nominal, pressure_center_offset=pi.pressure_center_estimate)
+                estimate, integral = pi_update(belief.patch.pressure_center_offset, integral,
+                                               (math.cos(th) * ex_world, -math.sin(th) * ex_world),
+                                               config.pi_gains, nominal.r0)
+                belief = replace(belief, patch=replace(nominal, pressure_center_offset=estimate))
                 bias_unc = max(config.pressure_uncertainty_floor,
                                0.5 * bias_unc + 0.5 * min(abs(ex_world),
                                                           config.pressure_uncertainty_prior))
-
-            obs = filtered
             log.iterations += 1
-        log.exit_residual = residual(stage, belief_state())
+        log.exit_residual = residual(stage, belief)
 
     return PlanResult(actions, stage_logs)

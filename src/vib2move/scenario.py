@@ -222,9 +222,13 @@ def scenario_to_doc(s: Scenario) -> dict:
 
 def _load_json(path: Path):
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read ({exc.strerror})") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -27,7 +27,6 @@ from vib2move.harness import default_objects
 from vib2move.integrator import (
     PulseSpec,
     _kernel_args,
-    _run_kernel,
     com_world,
     pressure_center_world,
     rollout_to_rest,
@@ -296,7 +295,7 @@ def test_non_finite_input_rejected_on_every_kernel(kernel, monkeypatch):
         slide_step,
         lambda st, ob, ds: vibration_pulse(st, ob, unchecked_pulse(ds)),
         lambda st, ob, ds: rollout_to_rest(st, ob, ds, max_steps=5),
-        lambda st, ob, ds: _run_kernel(st, ob, ds, 5),  # rollout_core
+        lambda st, ob, ds: _backend.rollout_core(*_kernel_args(st, ob, ds, 5)),
         lambda st, ob, ds: _pressure_error_from_pulse(st, ob, ds, 5, pose, pose),  # rollout_grid
     ]
     # PoseSE2 wraps its angle and so refuses an infinite one; a state that

@@ -342,6 +342,47 @@ class TestRerunIntoUsedDirectory:
         assert list(json.loads((out / "metrics.json").read_text())) == ["single_pulse"]
 
 
+class TestUnusablePaths:
+    """A path that cannot be read as input or made into the output
+    directory ends the run with one error line, not a traceback."""
+
+    def test_rerun_into_directory_named_like_the_scenario(self, tmp_path, monkeypatch):
+        # the first run's output directory takes the bundled plate's name,
+        # which the rerun must still read as that plate
+        monkeypatch.chdir(tmp_path)
+        written = []
+        for _ in range(2):
+            assert run(["plan", "--scenario", "object1", "--out", "object1"]) == 0
+            written.append((tmp_path / "object1" / "metrics.json").read_bytes())
+        assert written[0] == written[1]
+
+    def test_directory_as_scenario(self, tmp_path, caplog):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        assert run(["plan", "--scenario", runs, "--out", tmp_path / "o"]) == 1
+        assert _error_lines(caplog) == [
+            f"scenario {str(runs)!r} not found (no such file or bundled name)"]
+        assert not (tmp_path / "o").exists()
+
+    def test_out_is_a_file(self, tmp_path, caplog):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        assert run(["predict", "--scenario", "demo_pulse", "--out", taken]) == 1
+        assert _error_lines(caplog) == [
+            f"cannot create output directory {str(taken)!r}: File exists"]
+        assert taken.read_text() == "kept"
+
+    def test_scenario_not_utf8(self, tmp_path, caplog):
+        doc = json.loads(bundled_path("demo_plan").read_text())
+        doc["name"] = "plaque \u00e0 bord"
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        assert run(["plan", "--scenario", latin1, "--out", tmp_path / "o"]) == 1
+        [msg] = _error_lines(caplog)
+        assert msg.startswith(f"{latin1}: not UTF-8 text") and "\n" not in msg
+        assert not (tmp_path / "o").exists()
+
+
 def test_object_without_success_reports_no_error(tmp_path):
     """A plate too small for any goal has no error to report: empty table
     cells and nulls per object, and an empty but labelled plot column,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import statistics
@@ -18,6 +19,8 @@ from vib2move.harness import (
 )
 from vib2move.planner import PlannerConfig
 from vib2move.se2 import PoseSE2, wrap_angle
+
+from conftest import KERNELS, select_kernel
 
 
 class TestObserve:
@@ -141,6 +144,28 @@ class TestReconfigurationEval:
             assert len(ok) >= 10
             rmses.append(rep.rmse_pos)
         assert rmses[0] < rmses[-1]
+
+    # SHA-256 of the trial reprs below, the same on both kernels
+    FAILING_TRIALS_SHA256 = "dfdcc56f9033dc37d28ad06fbc71a575db7310adfc1825358aa949f942c55591"
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_failing_trials_pinned(self, monkeypatch, kernel):
+        """Byte pin on trials that fail, under the noisy acceptance setup:
+        seed 1 holds a stage-2 timeout (trial 5) and a stage-3 orientation
+        limit (trial 15), seed 10 a positioning orientation limit and
+        seed 17 a drop (trial 6)."""
+        select_kernel(monkeypatch, kernel)
+        trials = []
+        for seed, n_paths in ((1, 16), (10, 1), (17, 7)):
+            trials += run_reconfiguration_eval(
+                objects=[default_objects()[0]], n_paths_per_object=n_paths,
+                noise=NoiseModel(pos_sigma=0.001, angle_sigma=0.0087),
+                perturb=PerturbationModel(pressure_bias_fixed=0.002),
+                config=PlannerConfig(max_actions_per_stage=400), seed=seed).trials
+        failures = {t.failure.split(":")[0] for t in trials if t.failure}
+        assert failures == {"StageTimeoutError", "OrientationLimitError", "ObjectDroppedError"}
+        digest = hashlib.sha256("\n".join(map(repr, trials)).encode()).hexdigest()
+        assert digest == self.FAILING_TRIALS_SHA256
 
 
 def test_sample_goal_respects_protocol():

@@ -21,7 +21,6 @@ from vib2move.harness import (
 from vib2move.planner import (
     _ERROR_GRID,
     OrientationLimitError,
-    PiState,
     PlannerConfig,
     PlanningProblem,
     SingularityError,
@@ -38,7 +37,7 @@ from vib2move.planner import (
     subgoal_centering,
     subgoal_positioning,
 )
-from vib2move.integrator import _kernel_args, _run_kernel, lever
+from vib2move.integrator import _kernel_args, lever
 from vib2move.se2 import PoseSE2, relative_pose, transform_point, wrap_angle
 
 from conftest import state_with_contact_at
@@ -149,26 +148,27 @@ class TestSubgoals:
 
 class TestPiUpdate:
     def test_zero_error_is_stable(self):
-        pi = PiState()
+        estimate, integral = (0.0, 0.0), (0.0, 0.0)
         for _ in range(10):
-            pi = pi_update(pi, (0.0, 0.0), (0.5, 0.1), r0=0.015)
-        assert pi.pressure_center_estimate == (0.0, 0.0)
+            estimate, integral = pi_update(estimate, integral, (0.0, 0.0), (0.5, 0.1), r0=0.015)
+        assert estimate == (0.0, 0.0)
 
     def test_integral_action_on_constant_bias(self):
         # hand-computed discrete PI response to e = (1 mm, 0):
         # estimates 0.6, 1.3, 2.1 mm after 1..3 updates
-        pi = PiState()
+        estimate, integral = (0.0, 0.0), (0.0, 0.0)
         expected = [0.0006, 0.0013, 0.0021]
-        for want in expected:
-            pi = pi_update(pi, (0.001, 0.0), (0.5, 0.1), r0=0.015)
-            assert pi.pressure_center_estimate[0] == pytest.approx(want, rel=1e-12)
-        assert pi.pressure_center_estimate[1] == 0.0
+        for n, want in enumerate(expected, start=1):
+            estimate, integral = pi_update(estimate, integral, (0.001, 0.0), (0.5, 0.1), r0=0.015)
+            assert estimate[0] == pytest.approx(want, rel=1e-12)
+            assert integral == (pytest.approx(0.001 * n, rel=1e-12), 0.0)
+        assert estimate[1] == 0.0
 
     def test_estimate_clamped_inside_patch(self):
-        pi = PiState()
+        estimate, integral = (0.0, 0.0), (0.0, 0.0)
         for _ in range(100):
-            pi = pi_update(pi, (0.01, 0.0), (0.5, 0.1), r0=0.015)
-        assert math.hypot(*pi.pressure_center_estimate) <= 0.95 * 0.015 + 1e-12
+            estimate, integral = pi_update(estimate, integral, (0.01, 0.0), (0.5, 0.1), r0=0.015)
+        assert math.hypot(*estimate) <= 0.95 * 0.015 + 1e-12
 
 
 class ContractCheckingEnv(PlantEnv):
@@ -448,9 +448,9 @@ def test_estimator_replays_in_one_grid_call(kernel_spy, monkeypatch):
 def _uncapped_size_pulse(state, obj, config, stop_travel=-1.0, stop_rot=-1.0, ds=None):
     """Pulse sizing as first written, rolling out the full max_pulse_steps
     before any governor clips it; kept as the reference."""
-    status, n_done, *_ = _run_kernel(state, obj, ds if ds is not None else config.step_ds,
-                                     config.max_pulse_steps, stop_travel=stop_travel,
-                                     stop_rot=stop_rot)
+    status, n_done, *_ = _backend.rollout_core(*_kernel_args(
+        state, obj, ds if ds is not None else config.step_ds, config.max_pulse_steps,
+        stop_travel=stop_travel, stop_rot=stop_rot))
     if status == _backend.STATUS_DROPPED:
         n_done = (3 * n_done) // 4
     return max(1, n_done)
@@ -477,9 +477,9 @@ def test_size_pulse_cap_matches_clipped_uncapped_sizing():
             "ds": rng.choice((None, 2.5e-4)),
         }
         uncapped = _uncapped_size_pulse(belief, obj, config, **stops)
-        status, drop_step, *_ = _run_kernel(
+        status, drop_step, *_ = _backend.rollout_core(*_kernel_args(
             belief, obj, stops["ds"] or config.step_ds, config.max_pulse_steps,
-            stop_travel=stops["stop_travel"], stop_rot=stops["stop_rot"])
+            stop_travel=stops["stop_travel"], stop_rot=stops["stop_rot"]))
         bounds = [rng.randint(1, 2 * uncapped + 4), rng.randint(1, 8)]
         if status == _backend.STATUS_DROPPED and drop_step >= 2:
             # a drop at step D with m < D <= 4m/3 sizes to 3D//4 < m, so

@@ -128,6 +128,14 @@ def test_invalid_json_reports_line(tmp_path):
         load_scenario(p)
 
 
+@pytest.mark.parametrize("load", [load_scenario, load_eval_config])
+def test_unreadable_path_named(tmp_path, load):
+    # a directory stands in for any path the loader cannot read
+    with pytest.raises(ScenarioError) as exc:
+        load(tmp_path)
+    assert str(exc.value).startswith(f"{tmp_path}: cannot read")
+
+
 def test_planner_overrides():
     doc = json.loads(bundled_path("demo_plan").read_text())
     doc["planner"] = {"r_error_mm": 4.0, "kp": 0.3, "ki": 0.05,
