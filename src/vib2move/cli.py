@@ -42,19 +42,22 @@ def _setup_logging():
                         level=levels.get(level, logging.INFO))
 
 
-def _remove_stale(out: Path, *names: str) -> None:
-    """Remove an earlier run's outputs that this run does not write."""
-    for name in names:
-        (out / name).unlink(missing_ok=True)
-
-
-def _out_dir(arg: str) -> Path:
+def _out_dir(arg: str, *names: str) -> list[Path]:
+    """The paths of this command's output files `names` in --out, which is
+    created if need be; an earlier run's copies are removed first, so a
+    failed run leaves none of them and no run leaves one it did not write."""
     out = Path(arg)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot create output directory {arg!r}: {exc.strerror}") from exc
-    return out
+    paths = [out / name for name in names]
+    for path in paths:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot replace output file {str(path)!r}: {exc.strerror}") from exc
+    return paths
 
 
 def _resolve_scenario(arg: str) -> Path:
@@ -112,7 +115,7 @@ def cmd_predict(args) -> int:
         log.error("--n-steps must be zero or more, got %s", args.n_steps)
         return 1
     scenario = load_scenario(_resolve_scenario(args.scenario))
-    out = _out_dir(args.out)
+    trajectory_csv, path_svg = _out_dir(args.out, "trajectory.csv", "path.svg")
     state = state_from_relative(scenario.initial_rel, scenario.patch, scenario.finger_world)
     points = []
     if args.n_steps > 0:
@@ -121,17 +124,17 @@ def cmd_predict(args) -> int:
                                         PulseSpec(args.ds, args.n_steps))
         except ObjectDroppedError as exc:
             log.error("pulse failed: %s", exc)
-            _remove_stale(out, "trajectory.csv", "path.svg")
             return 1
-    write_trajectory_csv(points, out / "trajectory.csv")
-    plot_pulse_path(points, out / "path.svg", title=f"{scenario.name}: single pulse")
-    log.info("wrote %d trajectory rows to %s", len(points), out / "trajectory.csv")
+    write_trajectory_csv(points, trajectory_csv)
+    plot_pulse_path(points, path_svg, title=f"{scenario.name}: single pulse")
+    log.info("wrote %d trajectory rows to %s", len(points), trajectory_csv)
     return 0
 
 
 def cmd_plan(args) -> int:
     scenario = load_scenario(_resolve_scenario(args.scenario))
-    out = _out_dir(args.out)
+    trajectory_csv, actions_json, metrics_json, path_svg = _out_dir(
+        args.out, "trajectory.csv", "actions.json", "metrics.json", "path.svg")
     noise = replace(scenario.noise, seed=args.seed) if args.seed is not None else scenario.noise
     state = state_from_relative(scenario.initial_rel, scenario.patch, scenario.finger_world)
     env = PlantEnv(state, scenario.obj, noise=noise,
@@ -141,10 +144,9 @@ def cmd_plan(args) -> int:
         result = plan_and_execute(scenario.problem(), env, scenario.planner)
     except (PlanningError, ObjectDroppedError) as exc:
         log.error("planning failed: %s", exc)
-        _remove_stale(out, "trajectory.csv", "actions.json", "metrics.json", "path.svg")
         return 1
-    write_trajectory_csv(env.points, out / "trajectory.csv")
-    (out / "actions.json").write_text(json.dumps(_actions_doc(result.actions), indent=1) + "\n")
+    write_trajectory_csv(env.points, trajectory_csv)
+    actions_json.write_text(json.dumps(_actions_doc(result.actions), indent=1) + "\n")
     rel = env.true_relative_pose()
     err_pos, err_angle = pose_error(rel, scenario.goal_rel)
     metrics = {
@@ -157,8 +159,8 @@ def cmd_plan(args) -> int:
                             "exit_residual": lg.exit_residual}
                    for s, lg in result.stage_logs.items()},
     }
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
-    plot_plan_object_frame(env.points, result.actions, scenario.goal_rel, out / "path.svg",
+    metrics_json.write_text(json.dumps(metrics, indent=1) + "\n")
+    plot_plan_object_frame(env.points, result.actions, scenario.goal_rel, path_svg,
                            title=f"{scenario.name}: three-stage plan")
     log.info("plan done: %.2f mm / %.2f deg final error, %d actions",
              metrics["final_error_pos_mm"], metrics["final_error_angle_deg"],
@@ -166,48 +168,46 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _object_errors(d) -> dict:
-    """An object's errors in mm, degrees and percent, None with no success."""
+def _errors(d) -> dict:
+    """The errors in mm, degrees and percent, None with no success, and the
+    success rate: of one object's summary, or of a whole report's vars()."""
     if d["rmse_pos"] is None:
-        return {"rmse_pos_mm": None, "rmse_angle_deg": None, "rel_error_pct": None}
-    return {"rmse_pos_mm": d["rmse_pos"] * 1000.0,
-            "rmse_angle_deg": math.degrees(d["rmse_angle"]),
-            "rel_error_pct": d["rel_error_pct"]}
+        pos = angle = pct = None
+    else:
+        pos, angle, pct = d["rmse_pos"] * 1000.0, math.degrees(d["rmse_angle"]), d["rel_error_pct"]
+    return {"rmse_pos_mm": pos, "rmse_angle_deg": angle, "rel_error_pct": pct,
+            "success_rate": d["success_rate"]}
 
 
 def _cell(value, spec: str) -> str:
     return "" if value is None else format(value, spec)
 
 
+def _cells(d) -> list[str]:
+    """A table row's error cells, empty with no success, and success rate."""
+    e = _errors(d)
+    return [_cell(e["rmse_pos_mm"], ".2f"), _cell(e["rel_error_pct"], ".1f"),
+            _cell(e["rmse_angle_deg"], ".2f"), _cell(e["success_rate"], ".2f")]
+
+
 def _table_rows(report):
-    rows = []
-    for name, d in report.per_object.items():
-        errors = _object_errors(d)
-        rows.append([
-            name, d.get("surface", ""),
-            f"{d['size_mm'][0]:.0f}x{d['size_mm'][1]:.0f}",
-            f"{d['weight_g']:.0f}",
-            _cell(errors["rmse_pos_mm"], ".2f"),
-            _cell(errors["rel_error_pct"], ".1f"),
-            _cell(errors["rmse_angle_deg"], ".2f"),
-            f"{d['success_rate']:.2f}",
-        ])
-    rows.append(["average", "", "", "",
-                 f"{report.rmse_pos * 1000:.2f}", f"{report.rel_error_pct:.1f}",
-                 f"{math.degrees(report.rmse_angle):.2f}", f"{report.success_rate:.2f}"])
+    rows = [[name, d.get("surface", ""), f"{d['size_mm'][0]:.0f}x{d['size_mm'][1]:.0f}",
+             f"{d['weight_g']:.0f}", *_cells(d)] for name, d in report.per_object.items()]
+    rows.append(["average", "", "", "", *_cells(vars(report))])
     return rows
 
 
 def cmd_evaluate(args) -> int:
     cfg = load_eval_config(_resolve_scenario(args.config))
-    out = _out_dir(args.out)
+    trials_csv, table_csv, plot_svg, metrics_json = _out_dir(
+        args.out, "trials.csv", "table.csv", "error_distribution.svg", "metrics.json")
     docs = {}
     if cfg.mode in ("reconfigure", "both"):
         report = run_reconfiguration_eval(
             objects=cfg.objects, n_paths_per_object=cfg.n_trials, noise=cfg.noise,
             perturb=cfg.perturbation, config=cfg.planner, seed=args.seed)
         docs["reconfigure"] = report
-        with open(out / "trials.csv", "w", newline="") as fh:
+        with open(trials_csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["trial", "object", "goal_x_mm", "goal_y_mm", "goal_theta_deg",
                         "success", "err_pos_mm", "err_angle_deg", "n_actions", "failure"])
@@ -218,17 +218,15 @@ def cmd_evaluate(args) -> int:
                             int(t.success), f"{t.err_pos * 1000:.4f}",
                             f"{math.degrees(t.err_angle):.4f}", t.n_actions,
                             t.failure or ""])
-        with open(out / "table.csv", "w", newline="") as fh:
+        with open(table_csv, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["object", "surface", "size_mm", "weight_g", "rmse_pos_mm",
                         "rel_error_pct", "rmse_orient_deg", "success_rate"])
             w.writerows(_table_rows(report))
-        plot_error_distribution(report, out / "error_distribution.svg")
+        plot_error_distribution(report, plot_svg)
         log.info("reconfigure: %d trials, success %.0f%%, rmse %.2f mm / %.2f deg",
                  report.n_trials, 100 * report.success_rate,
                  report.rmse_pos * 1000, math.degrees(report.rmse_angle))
-    else:
-        _remove_stale(out, "trials.csv", "table.csv", "error_distribution.svg")
     if cfg.mode in ("single_pulse", "both"):
         pulse_report = run_single_pulse_eval(
             n_trials=cfg.n_trials * 10, ds=cfg.step_ds, n_steps=cfg.pulse_steps,
@@ -238,18 +236,10 @@ def cmd_evaluate(args) -> int:
                  pulse_report.rmse_pos * 1000, math.degrees(pulse_report.rmse_angle),
                  pulse_report.n_trials)
 
-    metrics = {}
-    for key, report in docs.items():
-        metrics[key] = {
-            "rmse_pos_mm": report.rmse_pos * 1000.0,
-            "rmse_angle_deg": math.degrees(report.rmse_angle),
-            "rel_error_pct": report.rel_error_pct,
-            "success_rate": report.success_rate,
-            "n_trials": report.n_trials,
-            "per_object": {name: {**_object_errors(d), "success_rate": d["success_rate"]}
-                           for name, d in report.per_object.items()},
-        }
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=1) + "\n")
+    metrics = {key: {**_errors(vars(report)), "n_trials": report.n_trials,
+                     "per_object": {name: _errors(d) for name, d in report.per_object.items()}}
+               for key, report in docs.items()}
+    metrics_json.write_text(json.dumps(metrics, indent=1) + "\n")
     return 0
 
 

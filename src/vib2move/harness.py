@@ -10,7 +10,9 @@ gripper rig without simulating the rig itself.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field, replace
 
@@ -269,11 +271,18 @@ class MetricsReport:
     per_object: dict = field(default_factory=dict)
 
 
+def float_sum(values) -> float:
+    """The left-to-right float sum. sum() compensates its rounding from
+    Python 3.12 on, so a seeded report summed with it would not keep its
+    bytes across the supported versions."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _rmse(values) -> float:
     vals = list(values)
     if not vals:
         return 0.0
-    return math.sqrt(sum(v * v for v in vals) / len(vals))
+    return math.sqrt(float_sum(v * v for v in vals) / len(vals))
 
 
 def _summarize(trials: list[TrialRecord], ref_length: float) -> dict:
@@ -405,5 +414,5 @@ def run_reconfiguration_eval(objects: list[dict] | None = None,
              "weight_g": obj.mass * 1000.0})
         per_object[entry["name"]] = summary
         trials.extend(obj_trials)
-    ref = (sum(max(e["model"].extents) for e in objects) / len(objects)) if objects else 1.0
+    ref = (float_sum(max(e["model"].extents) for e in objects) / len(objects)) if objects else 1.0
     return MetricsReport(**_summarize(trials, ref), trials=tuple(trials), per_object=per_object)

@@ -37,6 +37,13 @@ def _check_keys(block: dict, allowed: set[str], where: str):
         raise ScenarioError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _required(block: dict, key: str, where: str):
+    """block[key], or a ScenarioError naming the block that lacks it."""
+    if key not in block:
+        raise ScenarioError(f"missing required key {key!r} in {where}")
+    return block[key]
+
+
 def _number(value, key: str, positive: bool = False, integer: bool = False):
     """value unchanged if it is a finite, non-bool real number (an integer
     when integer, above zero when positive); else a ScenarioError naming
@@ -78,8 +85,8 @@ def _pose_mm_deg(values, where: str) -> PoseSE2:
 
 
 def _object_model(ob: dict, where: str, gravity: float = 9.81) -> ObjectModel:
-    mass_g = _number(ob["mass_g"], f"{where}.mass_g", positive=True)
-    w, h = _numbers(ob["extents_mm"], f"{where}.extents_mm", 2, positive=True)
+    mass_g = _number(_required(ob, "mass_g", where), f"{where}.mass_g", positive=True)
+    w, h = _numbers(_required(ob, "extents_mm", where), f"{where}.extents_mm", 2, positive=True)
     com = _numbers(ob.get("com_offset_mm", [0, 0]), f"{where}.com_offset_mm", 2)
     return _build(ObjectModel, where, mass=mass_g / 1000.0, extents=(w * MM, h * MM),
                   com_offset=tuple(v * MM for v in com), gravity=gravity)
@@ -109,28 +116,25 @@ class Scenario:
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     _check_keys(doc, {"object", "patch", "initial_rel_mm_deg", "goal_rel_mm_deg", "name",
                       "finger_world_mm_deg", "gravity_mps2", "noise", "planner"}, "scenario")
-    try:
-        ob = doc["object"]
-        _check_keys(ob, {"mass_g", "extents_mm", "com_offset_mm"}, "object")
-        obj = _object_model(ob, "object", gravity=_number(
-            doc.get("gravity_mps2", 9.81), "gravity_mps2", positive=True))
-        pa = doc["patch"]
-        _check_keys(pa, {"r0_mm", "c", "pressure_center_offset_mm"}, "patch")
-        offset = _numbers(pa.get("pressure_center_offset_mm", [0, 0]),
-                          "patch.pressure_center_offset_mm", 2)
-        patch = _build(
-            ContactPatch, "patch",
-            r0=_number(pa["r0_mm"], "patch.r0_mm", positive=True) * MM,
-            c=_number(pa.get("c", 0.6), "patch.c"),
-            pressure_center_offset=tuple(v * MM for v in offset),
-        )
-        initial = _pose_mm_deg(doc["initial_rel_mm_deg"], "initial_rel_mm_deg")
-        goal = _pose_mm_deg(doc["goal_rel_mm_deg"], "goal_rel_mm_deg")
-        finger = _pose_mm_deg(doc.get("finger_world_mm_deg", [0, 0, 0]), "finger_world_mm_deg")
-        noise = _parse_noise(doc.get("noise", {}))
-        planner = _parse_planner(doc.get("planner", {}))
-    except KeyError as exc:
-        raise ScenarioError(f"missing required key {exc} in scenario") from exc
+    ob = _required(doc, "object", "scenario")
+    _check_keys(ob, {"mass_g", "extents_mm", "com_offset_mm"}, "object")
+    obj = _object_model(ob, "object", gravity=_number(
+        doc.get("gravity_mps2", 9.81), "gravity_mps2", positive=True))
+    pa = _required(doc, "patch", "scenario")
+    _check_keys(pa, {"r0_mm", "c", "pressure_center_offset_mm"}, "patch")
+    offset = _numbers(pa.get("pressure_center_offset_mm", [0, 0]),
+                      "patch.pressure_center_offset_mm", 2)
+    patch = _build(
+        ContactPatch, "patch",
+        r0=_number(_required(pa, "r0_mm", "patch"), "patch.r0_mm", positive=True) * MM,
+        c=_number(pa.get("c", 0.6), "patch.c"),
+        pressure_center_offset=tuple(v * MM for v in offset),
+    )
+    initial = _pose_mm_deg(_required(doc, "initial_rel_mm_deg", "scenario"), "initial_rel_mm_deg")
+    goal = _pose_mm_deg(_required(doc, "goal_rel_mm_deg", "scenario"), "goal_rel_mm_deg")
+    finger = _pose_mm_deg(doc.get("finger_world_mm_deg", [0, 0, 0]), "finger_world_mm_deg")
+    noise = _parse_noise(doc.get("noise", {}))
+    planner = _parse_planner(doc.get("planner", {}))
     return Scenario(obj=obj, patch=patch, initial_rel=initial, goal_rel=goal,
                     finger_world=finger, noise=noise, planner=planner, name=doc.get("name", name))
 
@@ -270,10 +274,7 @@ def load_eval_config(path: str | Path) -> EvalConfig:
         for i, ob in enumerate(doc["objects"]):
             where = f"objects[{i}]"
             _check_keys(ob, {"name", "surface", "mass_g", "extents_mm", "com_offset_mm"}, where)
-            try:
-                model = _object_model(ob, where)
-            except KeyError as exc:
-                raise ScenarioError(f"missing required key {exc} in {where}") from exc
+            model = _object_model(ob, where)
             # per-object results are keyed and sorted by name
             name = ob.get("name", f"object{i + 1}")
             if not isinstance(name, str) or any(o["name"] == name for o in objects):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .harness import float_sum
 from .se2 import invert_point
 
 CLASS_COLORS = {"near_rotational": "#e75480", "translational": "#3aa0c9"}
@@ -153,7 +154,7 @@ def plot_error_distribution(report, out_path, title="final pose error per object
         for v in groups[name]:
             canvas.circle(i, v, 3, fill="#3aa0c9")
         if groups[name]:
-            mean = sum(groups[name]) / len(groups[name])
+            mean = float_sum(groups[name]) / len(groups[name])
             canvas.segment((i - 0.25, mean), (i + 0.25, mean), stroke="#cc0000", width=2.0)
         px, py = canvas.to_px(i, 0)
         canvas.text(px, canvas.height - canvas.margin + 18, name, size=11, anchor="middle")

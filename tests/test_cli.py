@@ -9,6 +9,7 @@ from xml.dom import minidom
 
 import pytest
 
+from vib2move import cli
 from vib2move.cli import main
 from vib2move.scenario import bundled_path
 
@@ -343,8 +344,9 @@ class TestRerunIntoUsedDirectory:
 
 
 class TestUnusablePaths:
-    """A path that cannot be read as input or made into the output
-    directory ends the run with one error line, not a traceback."""
+    """A path that cannot be read as input, made into the output directory
+    or cleared of an earlier output ends the run with one error line, not a
+    traceback, and before any planning."""
 
     def test_rerun_into_directory_named_like_the_scenario(self, tmp_path, monkeypatch):
         # the first run's output directory takes the bundled plate's name,
@@ -371,6 +373,28 @@ class TestUnusablePaths:
         assert _error_lines(caplog) == [
             f"cannot create output directory {str(taken)!r}: File exists"]
         assert taken.read_text() == "kept"
+
+    @pytest.mark.parametrize("argv", [("predict", "--scenario", "demo_pulse"),
+                                      ("plan", "--scenario", "demo_plan")],
+                             ids=["predict", "plan"])
+    def test_directory_at_an_output_name(self, tmp_path, caplog, argv):
+        taken = tmp_path / "o" / "trajectory.csv"
+        taken.mkdir(parents=True)
+        assert run([*argv, "--out", tmp_path / "o"]) == 1
+        assert _error_lines(caplog) == [
+            f"cannot replace output file {str(taken)!r}: Is a directory"]
+        assert taken.is_dir()
+
+    def test_directory_at_an_output_name_runs_no_trial(self, tmp_path, caplog, monkeypatch):
+        def no_trials(**kwargs):
+            pytest.fail("a trial ran before the outputs were cleared")
+
+        monkeypatch.setattr(cli, "run_reconfiguration_eval", no_trials)
+        taken = tmp_path / "o" / "trials.csv"
+        taken.mkdir(parents=True)
+        assert run(["evaluate", "--config", "eval_noise_free", "--out", tmp_path / "o"]) == 1
+        assert _error_lines(caplog) == [
+            f"cannot replace output file {str(taken)!r}: Is a directory"]
 
     def test_scenario_not_utf8(self, tmp_path, caplog):
         doc = json.loads(bundled_path("demo_plan").read_text())
@@ -407,29 +431,34 @@ def test_object_without_success_reports_no_error(tmp_path):
 
 
 # SHA-256 of the files these runs wrote before the planner stopped carrying
-# the trajectory and the final error; both kernels write the same bytes.
-# The kernels call the C library's sin and cos, so a libm that rounds one
-# of them differently would move these.
+# the trajectory and the final error; both kernels write the same bytes, on
+# every supported Python (the reports sum floats left to right, as sum()
+# did before 3.12). The kernels call the C library's sin and cos, so a libm
+# that rounds one of them differently would move these.
 PINNED = {
-    ("predict", "demo_pulse"): {
+    ("predict", "--scenario", "demo_pulse"): {
         "trajectory.csv": "6daa9bd9ae400560838611b7c1a70b209ac3eb8db3ee4b790e4ad8374c9ab594",
         "path.svg": "6528244921357a32a56c34120add91d40996c22563a44d4cbbd2a7f8fb7d6b30",
     },
-    ("plan", "demo_plan", "--seed", "5"): {
+    ("plan", "--scenario", "demo_plan", "--seed", "5"): {
         "trajectory.csv": "84a3603b180a89493df73d5e5d9c06ec98e7fc99e415bba321244e6d2dfbd380",
         "actions.json": "f6bd6290d5d8f9f684534f38ab17d79285a02c941564e0ca1c5794467dc73902",
         "metrics.json": "0bcde50da013860da8b8b31934d1020d7eee5c53d384ad4179f5fb2b6f7e5203",
         "path.svg": "fc4d1aa1f18967f19a6ceac08068b3f4100f745c89f5d1618b28d98bece14110",
     },
+    ("evaluate", "--config", "eval_noisy", "--seed", "7"): {
+        "metrics.json": "16f121acc273f459664300e45ea79f780665fe8be629365766d11dff670329b4",
+        "table.csv": "eb975d69479ffab0b84a45d7938321db93b3b06833d44cd9f2c8c3f6b6a1dd10",
+        "error_distribution.svg": "90e047569cb83ad34ebdbc7e6082b4c6da03e03f568b87d32c055e6864f03274",
+    },
 }
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("argv", PINNED, ids=["predict", "plan_seed5"])
+@pytest.mark.parametrize("argv", PINNED, ids=["predict", "plan_seed5", "evaluate_noisy_seed7"])
 def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, kernel, argv):
     select_kernel(monkeypatch, kernel)
-    command, scenario, *rest = argv
-    assert run([command, "--scenario", scenario, *rest, "--out", tmp_path]) == 0
+    assert run([*argv, "--out", tmp_path]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED[argv]}
     assert got == PINNED[argv]

@@ -114,6 +114,15 @@ def test_missing_required_key():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("block, key", [("patch", "r0_mm"), ("object", "mass_g"),
+                                        ("object", "extents_mm")])
+def test_missing_nested_key_names_its_block(block, key):
+    doc = json.loads(bundled_path("demo_plan").read_text())
+    del doc[block][key]
+    with pytest.raises(ScenarioError, match=rf"^missing required key '{key}' in {block}$"):
+        parse_scenario(doc)
+
+
 def test_bad_pose_shape():
     doc = json.loads(bundled_path("demo_plan").read_text())
     doc["goal_rel_mm_deg"] = [1.0, 2.0]
